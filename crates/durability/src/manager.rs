@@ -296,11 +296,6 @@ impl Durability {
         }
     }
 
-    /// The startup recovery report.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        self.report
-    }
-
     /// LSN the next logged record will carry.
     pub fn next_lsn(&self) -> u64 {
         self.wal.next_lsn()

@@ -250,24 +250,6 @@ pub fn read_segment(
     parse_segment(raw, expect_base, is_last)
 }
 
-/// [`read_segment`] against a [`StorageBackend`] (the segment's name is
-/// derived from `expect_base`).
-///
-/// # Errors
-///
-/// As [`read_segment`].
-pub fn read_segment_on(
-    backend: &dyn StorageBackend,
-    expect_base: u64,
-    is_last: bool,
-) -> Result<SegmentRecords, WalError> {
-    parse_segment(
-        backend.read(&segment_file_name(expect_base))?,
-        expect_base,
-        is_last,
-    )
-}
-
 /// Validate raw segment bytes (the pure half of [`read_segment`]).
 ///
 /// # Errors

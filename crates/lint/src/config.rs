@@ -6,7 +6,7 @@
 //! exists to prevent (`perf_summary` graphs the suppression count per PR).
 
 /// Hot-path modules: the blocked ad index and its evaluators, the engine
-/// steady state, the net server loop and codec, the durability
+/// steady state, the net server loop, partition node and codec, the durability
 /// commit/replay paths, the cluster router forwarding and replication
 /// apply paths (every routed RPC and every replicated record crosses
 /// them), and the obs record paths (metric handles and the
@@ -19,6 +19,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/engine/incremental.rs",
     "crates/core/src/engine/index_scan.rs",
     "crates/net/src/server.rs",
+    "crates/net/src/node.rs",
     "crates/net/src/replication.rs",
     "crates/textproc/src/kernels.rs",
     "crates/net/src/codec.rs",
@@ -37,6 +38,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
 /// paths below have no legitimate reason to index.
 pub const INDEX_CHECKED_FILES: &[&str] = &[
     "crates/net/src/server.rs",
+    "crates/net/src/node.rs",
     "crates/durability/src/apply.rs",
     "crates/durability/src/recovery.rs",
     "crates/durability/src/manager.rs",
@@ -48,8 +50,9 @@ pub const INDEX_CHECKED_FILES: &[&str] = &[
 /// `#[non_exhaustive]`.
 pub const ERROR_HYGIENE_PREFIXES: &[&str] = &["crates/net/src/", "crates/durability/src/"];
 
-/// Files where mutation handlers must order WAL commit before store apply.
-pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/server.rs"];
+/// Files where mutation handlers must order WAL commit before store apply:
+/// the partition node holds the one primary ack ladder.
+pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/node.rs"];
 
 /// Obs record paths: metric handles and the flight-recorder ring are called
 /// from every serving thread, including inside the zero-alloc engine kernel,
@@ -188,7 +191,7 @@ pub struct TraceSite {
 
 /// Every trace-propagation site. The codec entries pin the v6 trace
 /// envelope itself (16 bytes after the epoch in `Routed`/`ReplAppend`);
-/// the router/server/replication entries pin the handoff at each process
+/// the router/server/node entries pin the handoff at each process
 /// boundary of the routed ack ladder (DESIGN §15).
 pub const TRACE_SITES: &[TraceSite] = &[
     TraceSite {
@@ -216,7 +219,7 @@ pub const TRACE_SITES: &[TraceSite] = &[
         doc: "server dispatch captures the wire context before handling the request",
     },
     TraceSite {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "replicate",
         must_mention: &["trace", "child"],
         doc: "primary->follower shipment carries a child of the request's context",
@@ -235,21 +238,21 @@ pub struct Ladder {
 }
 
 /// The replication-path ladders. The client-facing ack is structural (the
-/// dispatch arm's reply is sent only after `log_apply` returns), so the
+/// dispatch arm's reply is sent only after `Node::submit` returns), so the
 /// ladders pin everything up to it: primary WAL order, the follower's
 /// durable-commit-before-ack, and the follower apply order.
 pub const ACK_LADDERS: &[Ladder] = &[
     Ladder {
-        file: "crates/net/src/server.rs",
-        func: "log_apply",
+        file: "crates/net/src/node.rs",
+        func: "submit",
         steps: &["log", "commit", "apply_record", "replicate"],
         doc: "primary mutations go WAL log -> commit -> apply -> replicate",
     },
     Ladder {
         file: "crates/net/src/server.rs",
         func: "serve_one",
-        steps: &["replica_append", "ReplAck"],
-        doc: "a follower acks (`ReplAck`) only after `replica_append` made the batch durable",
+        steps: &["append_replica", "ReplAck"],
+        doc: "a follower acks (`ReplAck`) only after `Node::append_replica` made the batch durable",
     },
     Ladder {
         file: "crates/net/src/replication.rs",

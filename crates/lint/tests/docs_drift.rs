@@ -1,6 +1,7 @@
 //! DESIGN §10 must document exactly the rules the binary registers:
 //! the rule table's names are diffed against `adcast-lint --list-rules`
-//! so the docs and the registry cannot drift apart.
+//! so the docs and the registry cannot drift apart. §8's wire table is
+//! held to the codec's constants the same way.
 
 use std::process::Command;
 
@@ -18,32 +19,23 @@ fn registered_rules() -> Vec<String> {
         .collect()
 }
 
-/// Rule names from the first column of DESIGN §10's rule table, in
-/// document order.
-fn documented_rules() -> Vec<String> {
+/// The body of the DESIGN.md section headed `## {number}`.
+fn design_section(number: &str) -> &'static str {
     let design = include_str!("../../../DESIGN.md");
-    let mut in_section = false;
-    let mut out = Vec::new();
-    for line in design.lines() {
-        if line.starts_with("## 10") {
-            in_section = true;
-            continue;
-        }
-        if in_section && line.starts_with("## ") {
-            break;
-        }
-        if !in_section {
-            continue;
-        }
-        // Table rows look like: | `rule-name` | scope | invariant |
-        let Some(rest) = line.strip_prefix("| `") else {
-            continue;
-        };
-        if let Some(name) = rest.split('`').next() {
-            out.push(name.to_string());
-        }
-    }
-    out
+    let heading = format!("\n## {number}");
+    let start = design.find(&heading).expect("DESIGN.md has the section") + heading.len();
+    let body = &design[start..];
+    body.find("\n## ").map_or(body, |end| &body[..end])
+}
+
+/// Rule names from the first column of DESIGN §10's rule table, in
+/// document order. Table rows look like: | `rule-name` | scope | invariant |
+fn documented_rules() -> Vec<String> {
+    design_section("10")
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .map(str::to_string)
+        .collect()
 }
 
 #[test]
@@ -90,5 +82,62 @@ fn unknown_rule_exits_2_with_the_listing() {
     assert!(
         err.contains("rpc-exhaustive") && err.contains("unsafe-needs-safety"),
         "error should carry the full rule listing:\n{err}"
+    );
+}
+
+/// DESIGN §8's wire table must state the codec's `VERSION` and the
+/// request (`< 0x80`) and response (`0x80..0xFF`) ranges of its `K_*`
+/// kind bytes, each one contiguous range.
+#[test]
+fn design_wire_table_matches_codec() {
+    let codec = include_str!("../../net/src/codec.rs");
+    fn value(line: &str) -> Option<&str> {
+        line.split(" = ").nth(1).map(|v| v.trim_end_matches(';'))
+    }
+    let version = codec
+        .lines()
+        .find(|l| l.starts_with("pub const VERSION: u16 = "))
+        .and_then(value)
+        .expect("codec declares VERSION");
+    let mut kinds: Vec<u8> = codec
+        .lines()
+        .filter(|l| l.contains("const K_") && l.contains(": u8 = "))
+        .filter_map(value)
+        .map(|v| match v.strip_prefix("0x") {
+            Some(hex) => u8::from_str_radix(hex, 16).expect("hex kind"),
+            None => v.parse().expect("decimal kind"),
+        })
+        .filter(|&k| k != 0xFF)
+        .collect();
+    kinds.sort_unstable();
+    let (requests, responses) = kinds.split_at(kinds.partition_point(|&k| k < 0x80));
+    let range = |ks: &[u8]| {
+        let (lo, hi) = (ks[0], ks[ks.len() - 1]);
+        assert_eq!(
+            usize::from(hi - lo) + 1,
+            ks.len(),
+            "kinds {ks:?} have a gap"
+        );
+        (lo, hi)
+    };
+    let ((req_lo, req_hi), (resp_lo, resp_hi)) = (range(requests), range(responses));
+    let row = |field: &str| {
+        let prefix = format!("| `{field}` |");
+        design_section("8.")
+            .lines()
+            .find(|l| l.starts_with(&prefix))
+            .expect("§8 wire table row")
+    };
+    let want_version = format!("currently {version} ");
+    assert!(
+        row("version").contains(&want_version),
+        "§8 must say {want_version:?}"
+    );
+    let want_kinds = format!(
+        "request kinds `{req_lo}..={req_hi}`, response kinds `0x{resp_lo:02X}..=0x{resp_hi:02X}`"
+    );
+    assert!(
+        row("kind").contains(&want_kinds),
+        "§8 must say {want_kinds:?}"
     );
 }

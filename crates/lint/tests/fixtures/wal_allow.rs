@@ -1,5 +1,5 @@
 // Fixture: an apply with no preceding commit, silenced by a pragma with a
-// reason. Linted under the server.rs rel path; never compiled.
+// reason. Linted under the node.rs rel path; never compiled.
 
 // adcast-lint: allow(wal-ordering) -- fixture: replay path; records here are already durable
 fn replay_one(store: &mut AdStore, record: WalRecord) -> Result<(), WireError> {

@@ -6,9 +6,11 @@
 
 use adcast_lint::{lint_source, lint_sources, rules, Diagnostic, SUPPRESSION_RULE};
 
-/// A hot-path identity: `no-panic-hot-path`, `wal-ordering` and the
-/// index-check all apply here.
+/// A hot-path identity: `no-panic-hot-path` and the index-check apply here.
 const HOT: &str = "crates/net/src/server.rs";
+/// The partition-node identity: a hot path where `wal-ordering` applies
+/// and `ack-ladder` pins the primary ladder in `submit`.
+const NODE: &str = "crates/net/src/node.rs";
 /// An error-hygiene identity that is NOT a hot-path file.
 const NET: &str = "crates/net/src/fixture.rs";
 /// A neutral identity: only the path-independent rules apply.
@@ -131,9 +133,9 @@ fn scratch_buffer_pattern_passes_without_pragma() {
 
 #[test]
 fn apply_before_commit_fails() {
-    // The fixture's `log_apply` also matches the generalized `ack-ladder`
-    // for server.rs, so the swap trips both the legacy rule and the ladder.
-    let (diags, _) = lint(HOT, include_str!("fixtures/wal_fail.rs"));
+    // The fixture's `submit` also matches the generalized `ack-ladder`
+    // for node.rs, so the swap trips both the legacy rule and the ladder.
+    let (diags, _) = lint(NODE, include_str!("fixtures/wal_fail.rs"));
     assert_eq!(
         rules_of(&diags),
         vec![rules::ACK_LADDER, rules::WAL_ORDERING],
@@ -143,14 +145,14 @@ fn apply_before_commit_fails() {
 
 #[test]
 fn apply_without_commit_with_pragma_is_allowed() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/wal_allow.rs"));
+    let (diags, sup) = lint(NODE, include_str!("fixtures/wal_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 1);
 }
 
 #[test]
 fn commit_before_apply_passes() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/wal_ok.rs"));
+    let (diags, sup) = lint(NODE, include_str!("fixtures/wal_ok.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 0);
 }

@@ -16,6 +16,7 @@
 pub mod client;
 pub mod codec;
 pub mod loadgen;
+pub mod node;
 pub mod protocol;
 pub mod replication;
 pub mod server;
@@ -24,11 +25,12 @@ pub mod synth;
 pub use client::{Client, ClientConfig};
 pub use codec::NetError;
 pub use loadgen::{scrape_obs, LoadgenConfig, LoadgenReport, ObsScrape, STAGE_FAMILIES};
+pub use node::Node;
 pub use protocol::{
     CampaignSpec, NodeRole, NodeStatus, Request, Response, ServerStats, TraceContext, WireError,
 };
 pub use replication::{
-    install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaError,
-    ReplicaSetup, ReplicateError, ReplicationSink,
+    install_snapshot_on, replica_append, ClusterState, ReplObs, ReplicaSetup, ReplicateError,
+    ReplicationSink,
 };
-pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
+pub use server::{ClusterConfig, Server, ServerConfig};

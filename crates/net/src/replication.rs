@@ -1,19 +1,8 @@
-//! Primary/backup WAL replication core (transport-free).
-//!
-//! One partition is served by a **primary** and mirrored by a
-//! **follower**. The primary's ack ladder per mutating RPC is
-//!
-//! ```text
-//! validate → log → commit (local fsync) → apply → replicate
-//!          → follower durable ack → ack client
-//! ```
-//!
-//! so a client-acked delta is durable on two nodes (or the primary is
-//! explicitly in *degraded* mode — follower unreachable — and acks
-//! local-durable only, with the counters below saying so). The follower
-//! logs **and applies** every replicated record through the same
-//! [`apply_record`] path as the primary, so it is a hot standby:
-//! promotion is an epoch bump, not a replay.
+//! Primary/backup WAL replication core (transport-free): the cluster
+//! state, the follower's append and snapshot install, and the sink
+//! contract the primary ships through. [`crate::node::Node`] drives all
+//! of it, for the server and the simulation harness alike; the TCP sink
+//! lives in `adcast-cluster`.
 //!
 //! **Epoch fencing.** Every routed frame and replication RPC carries the
 //! sender's epoch; any mismatch with the node's own epoch is refused
@@ -23,25 +12,22 @@
 //!
 //! **LSN alignment.** The follower's own WAL assigns LSNs sequentially;
 //! [`replica_append`] refuses a batch that does not continue the local
-//! sequence with [`ReplicaError::LsnGap`], and the primary falls back to
+//! sequence with [`WireError::LsnGap`], and the primary falls back to
 //! [`install_snapshot_on`] — full-state transfer that also serves
-//! rejoining or rebalanced nodes.
-//!
-//! This module is deliberately transport-free: the TCP sink lives in
-//! `adcast-cluster`, and the simulation harness drives these same
-//! functions in-process under its virtual clock and memory backend.
+//! rejoining or rebalanced nodes. The follower logs **and applies** every
+//! record through [`apply_record`], so it is a hot standby: promotion is
+//! an epoch bump, not a replay.
 
 use std::sync::Arc;
 
 use adcast_ads::AdStore;
 use adcast_core::{EngineConfig, ShardedDriver};
-use adcast_durability::manager::DurabilityError;
 use adcast_durability::recovery::RecoveryReport;
 use adcast_durability::snapshot::{prune_on, write_snapshot_atomic_on};
 use adcast_durability::wal::{list_segment_lsns_on, segment_file_name};
 use adcast_durability::{
-    apply_record, Durability, DurabilityOptions, EngineSetSnapshot, StorageBackend, WalError,
-    WalRecord, WalWriter,
+    apply_record, Durability, DurabilityOptions, EngineSetSnapshot, StorageBackend, WalRecord,
+    WalWriter,
 };
 use adcast_obs::tracestore::{tracestore, SpanKind, TraceContext};
 use adcast_obs::{Counter, Gauge, Hist};
@@ -132,94 +118,37 @@ impl ClusterState {
         }
         Ok(())
     }
-}
 
-/// Promote a node to primary of `partition` under a strictly higher
-/// epoch. Idempotent: re-promoting an already-primary node at the epoch
-/// it holds is a no-op success, so the router can safely retry.
-///
-/// # Errors
-///
-/// [`WireError::WrongPartition`] when the partition is not this node's;
-/// [`WireError::StaleEpoch`] when `epoch` does not exceed the held one
-/// (except the idempotent re-promote above).
-pub fn promote(state: &mut ClusterState, partition: u16, epoch: u64) -> Result<(), WireError> {
-    if partition != state.partition {
-        return Err(WireError::WrongPartition {
-            expected: state.partition,
-        });
-    }
-    if epoch == state.epoch && state.role == NodeRole::Primary && !state.fenced {
-        return Ok(());
-    }
-    if epoch <= state.epoch {
-        return Err(WireError::StaleEpoch {
-            current: state.epoch,
-        });
-    }
-    state.epoch = epoch;
-    state.role = NodeRole::Primary;
-    state.fenced = false;
-    // A freshly promoted primary has no follower of its own yet; it
-    // serves degraded (local-durable acks) until one is enrolled.
-    state.degraded = true;
-    Ok(())
-}
-
-/// Why a replica-side operation failed.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ReplicaError {
-    /// The batch does not continue the local LSN sequence; the sender
-    /// must fall back to snapshot transfer.
-    LsnGap {
-        /// LSN the replica expected next.
-        expected: u64,
-    },
-    /// A shipped record or snapshot failed to decode.
-    Corrupt(TraceError),
-    /// The local WAL refused to log/commit; nothing was acked.
-    Durability(DurabilityError),
-    /// WAL file management failed during snapshot install.
-    Wal(WalError),
-    /// Snapshot contents failed store/driver validation.
-    State(String),
-    /// A committed record failed to apply (replica and primary have
-    /// diverged — fatal for this replica).
-    Apply(String),
-}
-
-impl std::fmt::Display for ReplicaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplicaError::LsnGap { expected } => {
-                write!(f, "replication lsn gap (expected {expected})")
-            }
-            ReplicaError::Corrupt(e) => write!(f, "corrupt replicated payload: {e}"),
-            ReplicaError::Durability(e) => write!(f, "replica durability: {e}"),
-            ReplicaError::Wal(e) => write!(f, "replica wal: {e}"),
-            ReplicaError::State(e) => write!(f, "snapshot state: {e}"),
-            ReplicaError::Apply(e) => write!(f, "replica apply: {e}"),
+    /// Become primary of `partition` under a strictly higher epoch.
+    /// Idempotent: re-promoting an already-primary node at the epoch it
+    /// holds is a no-op success, so the router can safely retry.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::WrongPartition`] when the partition is not this
+    /// node's; [`WireError::StaleEpoch`] when `epoch` does not exceed the
+    /// held one (except the idempotent re-promote above).
+    pub fn promote(&mut self, partition: u16, epoch: u64) -> Result<(), WireError> {
+        if partition != self.partition {
+            return Err(WireError::WrongPartition {
+                expected: self.partition,
+            });
         }
-    }
-}
-
-impl std::error::Error for ReplicaError {}
-
-impl ReplicaError {
-    /// The wire-level refusal this failure travels as.
-    #[must_use]
-    pub fn to_wire(&self) -> WireError {
-        match self {
-            ReplicaError::LsnGap { expected } => WireError::LsnGap {
-                expected: *expected,
-            },
-            ReplicaError::Corrupt(e) => WireError::BadRequest(format!("corrupt payload: {e}")),
-            ReplicaError::State(e) => WireError::BadRequest(e.clone()),
-            ReplicaError::Durability(_) | ReplicaError::Wal(_) | ReplicaError::Apply(_) => {
-                WireError::Unavailable
-            }
+        if epoch == self.epoch && self.role == NodeRole::Primary && !self.fenced {
+            return Ok(());
         }
+        if epoch <= self.epoch {
+            return Err(WireError::StaleEpoch {
+                current: self.epoch,
+            });
+        }
+        self.epoch = epoch;
+        self.role = NodeRole::Primary;
+        self.fenced = false;
+        // A freshly promoted primary has no follower of its own yet; it
+        // serves degraded (local-durable acks) until one is enrolled.
+        self.degraded = true;
+        Ok(())
     }
 }
 
@@ -240,29 +169,32 @@ impl ReplicaError {
 ///
 /// # Errors
 ///
-/// [`ReplicaError`] — see its variants.
+/// The refusal the primary is answered with: [`WireError::LsnGap`] (fall
+/// back to snapshot transfer), [`WireError::BadRequest`] for a corrupt
+/// payload, [`WireError::Unavailable`] when the local WAL fails or a
+/// committed record does not apply (the replica has diverged).
 pub fn replica_append(
     durability: &mut Durability,
     store: &mut AdStore,
     driver: &mut ShardedDriver,
     trace: TraceContext,
     entries: &[(u64, Bytes)],
-) -> Result<u64, ReplicaError> {
+) -> Result<u64, WireError> {
     let mut records = Vec::with_capacity(entries.len());
     for (expected, (lsn, payload)) in (durability.next_lsn()..).zip(entries.iter()) {
         if *lsn != expected {
-            return Err(ReplicaError::LsnGap {
+            return Err(WireError::LsnGap {
                 expected: durability.next_lsn(),
             });
         }
-        records.push(WalRecord::decode(payload.clone()).map_err(ReplicaError::Corrupt)?);
+        records.push(WalRecord::decode(payload.clone()).map_err(corrupt)?);
     }
     let salt = 0;
     let commit_started = now_ns();
     for record in &records {
-        durability.log(record).map_err(ReplicaError::Durability)?;
+        durability.log(record).map_err(unavailable)?;
     }
-    durability.commit().map_err(ReplicaError::Durability)?;
+    durability.commit().map_err(unavailable)?;
     tracestore().record(
         trace,
         SpanKind::FollowerCommit,
@@ -273,7 +205,7 @@ pub fn replica_append(
     let trace = trace.child(SpanKind::FollowerCommit, salt);
     let apply_started = now_ns();
     for record in records {
-        apply_record(store, driver, record).map_err(ReplicaError::Apply)?;
+        apply_record(store, driver, record).map_err(unavailable)?;
     }
     tracestore().record(
         trace,
@@ -283,6 +215,15 @@ pub fn replica_append(
         now_ns().saturating_sub(apply_started),
     );
     Ok(durability.next_lsn())
+}
+
+fn corrupt(e: TraceError) -> WireError {
+    WireError::BadRequest(format!("corrupt payload: {e}"))
+}
+
+/// A local failure the primary can only retry or route around.
+fn unavailable<E>(_: E) -> WireError {
+    WireError::Unavailable
 }
 
 /// Everything a replica-enabled node needs to rebuild itself from a
@@ -306,15 +247,16 @@ pub struct ReplicaSetup {
 ///
 /// # Errors
 ///
-/// [`ReplicaError`] — decode, validation, or file-management failures
-/// leave the previous on-disk state recoverable.
+/// [`WireError::BadRequest`] when the image does not decode or validate,
+/// [`WireError::Unavailable`] when file management fails; either way the
+/// previous on-disk state stays recoverable.
 pub fn install_snapshot_on(
     setup: &ReplicaSetup,
     snapshot: Bytes,
-) -> Result<(AdStore, ShardedDriver, Durability), ReplicaError> {
-    let decoded = EngineSetSnapshot::decode(snapshot.clone()).map_err(ReplicaError::Corrupt)?;
+) -> Result<(AdStore, ShardedDriver, Durability), WireError> {
+    let decoded = EngineSetSnapshot::decode(snapshot.clone()).map_err(corrupt)?;
     let next_lsn = decoded.next_lsn;
-    let store = AdStore::from_snapshot(decoded.store).map_err(ReplicaError::State)?;
+    let store = AdStore::from_snapshot(decoded.store).map_err(WireError::BadRequest)?;
     let mut driver = ShardedDriver::new(
         decoded.num_users,
         decoded.num_shards as usize,
@@ -322,23 +264,22 @@ pub fn install_snapshot_on(
     );
     driver
         .restore_snapshots(&decoded.engines)
-        .map_err(ReplicaError::State)?;
-    write_snapshot_atomic_on(&*setup.backend, next_lsn, &snapshot)
-        .map_err(|e| ReplicaError::State(e.to_string()))?;
+        .map_err(WireError::BadRequest)?;
+    write_snapshot_atomic_on(&*setup.backend, next_lsn, &snapshot).map_err(unavailable)?;
     // Pruning failures only waste disk; the install itself is durable.
     let _ = prune_on(
         &*setup.backend,
         next_lsn,
         setup.options.keep_snapshots.max(1),
     );
-    for base in list_segment_lsns_on(&*setup.backend).map_err(ReplicaError::Wal)? {
+    for base in list_segment_lsns_on(&*setup.backend).map_err(unavailable)? {
         setup
             .backend
             .remove(&segment_file_name(base))
-            .map_err(|e| ReplicaError::Wal(WalError::Io(e)))?;
+            .map_err(unavailable)?;
     }
     let wal = WalWriter::create_on(Arc::clone(&setup.backend), setup.options.wal, next_lsn)
-        .map_err(ReplicaError::Wal)?;
+        .map_err(unavailable)?;
     let report = RecoveryReport {
         snapshot_lsn: Some(next_lsn),
         ..RecoveryReport::default()
@@ -512,78 +453,6 @@ impl ReplObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcast_ads::{AdSubmission, Budget, Targeting};
-    use adcast_feed::FeedDelta;
-    use adcast_graph::UserId;
-    use adcast_stream::clock::Timestamp;
-    use adcast_stream::event::{LocationId, Message, MessageId};
-    use adcast_text::dictionary::TermId;
-    use adcast_text::SparseVector;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_backend(tag: &str) -> Arc<dyn StorageBackend> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "adcast-repl-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        adcast_durability::fs_backend(&dir)
-    }
-
-    fn engine_config() -> EngineConfig {
-        EngineConfig {
-            half_life: None,
-            ..EngineConfig::default()
-        }
-    }
-
-    fn fresh_node(backend: &Arc<dyn StorageBackend>) -> (AdStore, ShardedDriver, Durability) {
-        let wal = WalWriter::create_on(
-            Arc::clone(backend),
-            adcast_durability::WalOptions::default(),
-            0,
-        )
-        .unwrap();
-        let durability = Durability::new_on(
-            Arc::clone(backend),
-            wal,
-            DurabilityOptions::default(),
-            RecoveryReport::default(),
-        );
-        (
-            AdStore::new(),
-            ShardedDriver::new(8, 1, engine_config()),
-            durability,
-        )
-    }
-
-    fn submit_record(term: u32) -> WalRecord {
-        WalRecord::Submit(AdSubmission {
-            vector: SparseVector::from_pairs([(TermId(term), 1.0)]),
-            bid: 1.0,
-            targeting: Targeting::everywhere(),
-            budget: Budget::unlimited(),
-            topic_hint: None,
-        })
-    }
-
-    fn delta_record(user: u32, secs: u64) -> WalRecord {
-        WalRecord::IngestBatch(vec![(
-            UserId(user),
-            FeedDelta {
-                entered: Some(std::sync::Arc::new(Message {
-                    id: MessageId(secs),
-                    author: UserId(0),
-                    ts: Timestamp::from_secs(secs),
-                    location: LocationId(0),
-                    vector: SparseVector::from_pairs([(TermId(1), 1.0)]),
-                })),
-                evicted: vec![],
-            },
-        )])
-    }
 
     #[test]
     fn admit_checks_partition_epoch_and_fence() {
@@ -608,122 +477,18 @@ mod tests {
     fn promote_bumps_epoch_and_is_idempotent() {
         let mut state = ClusterState::follower(1, 3);
         assert!(matches!(
-            promote(&mut state, 1, 3),
+            state.promote(1, 3),
             Err(WireError::StaleEpoch { current: 3 })
         ));
-        promote(&mut state, 1, 4).unwrap();
+        state.promote(1, 4).unwrap();
         assert_eq!(state.role, NodeRole::Primary);
         assert_eq!(state.epoch, 4);
         assert!(state.degraded, "fresh primary has no follower yet");
         // Retrying the same promotion is a success, not a StaleEpoch.
-        promote(&mut state, 1, 4).unwrap();
+        state.promote(1, 4).unwrap();
         assert!(matches!(
-            promote(&mut state, 2, 5),
+            state.promote(2, 5),
             Err(WireError::WrongPartition { expected: 1 })
         ));
-    }
-
-    #[test]
-    fn replica_append_is_hot_standby_and_lsn_strict() {
-        let backend = temp_backend("append");
-        let (mut store, mut driver, mut durability) = fresh_node(&backend);
-
-        let records = [submit_record(1), delta_record(0, 1), delta_record(1, 2)];
-        let entries: Vec<(u64, Bytes)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r.encode()))
-            .collect();
-        let durable = replica_append(
-            &mut durability,
-            &mut store,
-            &mut driver,
-            TraceContext::NONE,
-            &entries,
-        )
-        .unwrap();
-        assert_eq!(durable, 3);
-        // Applied, not just logged: the campaign is live.
-        assert!(store.campaign(adcast_ads::AdId(0)).is_some());
-
-        // A gap is refused wholesale — nothing logged, nothing applied.
-        let gap = vec![(7u64, submit_record(2).encode())];
-        let err = replica_append(
-            &mut durability,
-            &mut store,
-            &mut driver,
-            TraceContext::NONE,
-            &gap,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ReplicaError::LsnGap { expected: 3 }), "{err}");
-        assert_eq!(durability.next_lsn(), 3);
-    }
-
-    #[test]
-    fn install_snapshot_rebuilds_byte_identical_state() {
-        // Primary: build some state and capture a snapshot.
-        let primary_backend = temp_backend("install-p");
-        let (mut store, mut driver, mut durability) = fresh_node(&primary_backend);
-        for (lsn, record) in [submit_record(1), delta_record(2, 5)]
-            .into_iter()
-            .enumerate()
-        {
-            let entry = vec![(lsn as u64, record.encode())];
-            replica_append(
-                &mut durability,
-                &mut store,
-                &mut driver,
-                TraceContext::NONE,
-                &entry,
-            )
-            .unwrap();
-        }
-        let image = EngineSetSnapshot::capture(durability.next_lsn(), &store, &driver).encode();
-
-        // Replica: diverged local WAL gets wiped by the install.
-        let replica_backend = temp_backend("install-r");
-        let (mut rstore, mut rdriver, mut rdur) = fresh_node(&replica_backend);
-        let stale = vec![(0u64, submit_record(9).encode())];
-        replica_append(
-            &mut rdur,
-            &mut rstore,
-            &mut rdriver,
-            TraceContext::NONE,
-            &stale,
-        )
-        .unwrap();
-        drop(rdur);
-
-        let setup = ReplicaSetup {
-            backend: Arc::clone(&replica_backend),
-            options: DurabilityOptions::default(),
-            engine: engine_config(),
-        };
-        let (new_store, new_driver, new_dur) = install_snapshot_on(&setup, image.clone()).unwrap();
-        assert_eq!(new_dur.next_lsn(), 2);
-        let recaptured =
-            EngineSetSnapshot::capture(new_dur.next_lsn(), &new_store, &new_driver).encode();
-        assert_eq!(recaptured, image, "installed state is byte-identical");
-        // The stale WAL is gone: nothing below the snapshot survives.
-        assert!(list_segment_lsns_on(&*replica_backend)
-            .unwrap()
-            .iter()
-            .all(|&base| base >= 2));
-    }
-
-    #[test]
-    fn corrupt_snapshot_refused_without_side_effects() {
-        let backend = temp_backend("install-bad");
-        let setup = ReplicaSetup {
-            backend,
-            options: DurabilityOptions::default(),
-            engine: engine_config(),
-        };
-        let Err(err) = install_snapshot_on(&setup, Bytes::from_static(b"not a snapshot")) else {
-            panic!("corrupt snapshot must be refused");
-        };
-        assert!(matches!(err, ReplicaError::Corrupt(_)), "{err}");
-        assert!(matches!(err.to_wire(), WireError::BadRequest(_)));
     }
 }

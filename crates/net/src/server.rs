@@ -1,4 +1,4 @@
-//! Threaded TCP server fronting one [`ShardedDriver`] + [`AdStore`].
+//! Threaded TCP server fronting one partition [`Node`].
 //!
 //! ## Threading model
 //!
@@ -6,13 +6,15 @@
 //! accept thread ──► reader thread per connection
 //!                        │ decode frame
 //!                        │ try_send ──► bounded cmd queue ──► engine thread
-//!                        │   (Full ⇒ Overloaded reply,          │ owns AdStore
-//!                        │    shed counter++)                   │ + ShardedDriver
+//!                        │   (Full ⇒ Overloaded reply,          │ owns the Node
+//!                        │    shed counter++)                   │ (store, driver, WAL)
 //!                        ◄──────────── per-RPC reply channel ───┘
 //! ```
 //!
-//! Exactly one thread (the engine thread) ever touches the store and the
-//! driver, so the serving layer adds no locking to the engine hot paths.
+//! Exactly one thread (the engine thread) ever touches the node, so the
+//! serving layer adds no locking to the engine hot paths. The engine
+//! validates and dispatches each RPC; every mutation climbs the node's
+//! one ack ladder ([`Node::submit`], DESIGN § 14).
 //! Readers run a closed loop per connection: read a frame, submit it,
 //! wait for the reply, write it back — so per-connection ordering is the
 //! processing order.
@@ -40,11 +42,11 @@
 //! ## Shutdown
 //!
 //! [`Request::Shutdown`] is acked immediately, then the engine thread
-//! raises the shutdown flag, pokes the accept loop awake with a dummy
+//! raises the shutdown flag, wakes the blocking `accept()` with a dummy
 //! connection, drains every already-queued command (each gets its real
 //! reply — in-flight requests are never dropped), and exits. Readers
 //! observe the flag on their next read-timeout tick and exit; the accept
-//! thread joins them; [`ServerHandle::join`] joins everything.
+//! thread joins them; [`Server::join`] joins everything.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,20 +59,16 @@ use std::time::Duration;
 
 use adcast_ads::{AdStore, CampaignState};
 use adcast_core::ShardedDriver;
-use adcast_durability::{apply_record, ApplyEffect, Durability, EngineSetSnapshot, WalRecord};
+use adcast_durability::{ApplyEffect, Durability, WalRecord};
 use adcast_metrics::LatencyHistogram;
 use adcast_obs::tracestore::{tracestore, SpanKind, TraceContext};
-use adcast_obs::{flightrec, readiness, Counter, EventKind, Gauge, Hist};
-use adcast_obs::{UNREADY_CATCHING_UP, UNREADY_DEGRADED};
+use adcast_obs::{flightrec, Counter, EventKind, Gauge, Hist};
 use adcast_stream::clock::now_ns;
-use bytes::Bytes;
 
 use crate::codec::{self, decode_request, encode_response, read_frame, write_frame, NetError};
+use crate::node::Node;
 use crate::protocol::{NodeRole, Request, Response, ServerStats, WireError};
-use crate::replication::{
-    install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaSetup,
-    ReplicateError, ReplicationSink,
-};
+use crate::replication::{ClusterState, ReplicaSetup, ReplicationSink};
 
 /// An Ingest whose engine service time exceeds this (in clock
 /// nanoseconds) gets a `SlowDelta` flight-recorder event (hot-path budget
@@ -84,8 +82,8 @@ pub struct ServerConfig {
     /// Bound of the request queue (the backpressure knob): at most this
     /// many admitted-but-unprocessed RPCs exist at any time.
     pub queue_depth: usize,
-    /// How often blocked readers wake to poll the shutdown flag. Also the
-    /// granularity of shutdown latency and of reader-thread reaping.
+    /// How often blocked readers wake to poll the shutdown flag (their
+    /// read timeout), so also the granularity of reader shutdown latency.
     pub poll_interval: Duration,
     /// Where the engine dumps the flight recorder on shutdown and on
     /// [`Request::ObsDump`]; `None` refuses the RPC and skips the dump.
@@ -112,8 +110,8 @@ pub struct ClusterConfig {
     /// Primary side: transport to this partition's follower. A primary
     /// without one serves degraded (local-durable acks only).
     pub sink: Option<Box<dyn ReplicationSink>>,
-    /// Follower side: what [`install_snapshot_on`] needs to rebuild the
-    /// node from a shipped image.
+    /// Follower side: what [`Node::install_snapshot`] needs to rebuild
+    /// the node from a shipped image.
     pub replica: Option<ReplicaSetup>,
 }
 
@@ -149,8 +147,6 @@ struct NetObs {
     queue_wait_ns: Hist,
     ingest_ns: Hist,
     recommend_ns: Hist,
-    wal_commit_ns: Hist,
-    engine_apply_ns: Hist,
 }
 
 impl NetObs {
@@ -182,14 +178,6 @@ impl NetObs {
                 "adcast_net_recommend_ns",
                 "Engine service time per successful Recommend RPC.",
             ),
-            wal_commit_ns: reg.hist(
-                "adcast_net_wal_commit_ns",
-                "WAL log + group-commit time per mutating RPC.",
-            ),
-            engine_apply_ns: reg.hist(
-                "adcast_net_engine_apply_ns",
-                "Engine apply time per mutating RPC (after the WAL commit).",
-            ),
         }
     }
 }
@@ -216,17 +204,14 @@ fn req_kind_code(req: &Request) -> u64 {
 }
 
 /// A running server; dropping it does **not** stop it — send
-/// [`Request::Shutdown`] (or call [`ServerHandle::shutdown`]) and then
-/// [`ServerHandle::join`].
+/// [`Request::Shutdown`] (or call [`Server::shutdown`]) and then
+/// [`Server::join`].
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_join: Option<JoinHandle<()>>,
     engine_join: Option<JoinHandle<()>>,
 }
-
-/// Alias kept for readability at call sites.
-pub type ServerHandle = Server;
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
@@ -297,23 +282,13 @@ impl Server {
         let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(config.queue_depth.max(1));
 
         let engine_join = {
-            let repl_obs = ReplObs::resolve(cluster.state.partition);
-            repl_obs
-                .epoch
-                .set(i64::try_from(cluster.state.epoch).unwrap_or(i64::MAX));
-            repl_obs.degraded.set(i64::from(cluster.state.degraded));
             let mut engine = Engine {
-                store,
-                driver,
-                durability,
-                cluster: cluster.state,
+                node: Node::new(store, driver, durability, cluster.state, cluster.replica),
                 sink: cluster.sink,
-                replica: cluster.replica,
                 shared: Arc::clone(&shared),
                 queue_depth: config.queue_depth.max(1),
                 flightrec_path: config.flightrec_path.clone(),
                 obs: obs.clone(),
-                repl_obs,
                 rpcs: 0,
                 cur_trace: TraceContext::NONE,
                 ingest_lat: LatencyHistogram::new(),
@@ -372,55 +347,36 @@ fn accept_loop(
     poll: Duration,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    // Non-blocking accept with a poll-interval sleep, so the reap below
-    // runs on every tick — a long-lived server's handle list tracks live
-    // connections instead of growing until the next accept arrives.
-    let nonblocking = listener.set_nonblocking(true).is_ok();
+    // Blocking accept: both shutdown paths self-connect to wake it. Reaping
+    // finished readers on every accept keeps the handle list bounded by
+    // the live connections plus those that ended since the last accept.
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                obs.connections_total.inc();
-                // Accepted sockets can inherit the listener's non-blocking
-                // mode on some platforms; readers need blocking reads with
-                // a timeout.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(poll));
-                let tx = cmd_tx.clone();
-                let shared = Arc::clone(shared);
-                let reader_threads = obs.reader_threads.clone();
-                reader_threads.inc();
-                let conn_obs = obs.clone();
-                match std::thread::Builder::new()
-                    .name("adcast-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, &tx, &shared, &conn_obs);
-                        conn_obs.reader_threads.dec();
-                    }) {
-                    Ok(join) => readers.push(join),
-                    Err(_) => reader_threads.dec(),
-                }
-                readers.retain(|j| !j.is_finished());
-            }
-            Err(e) if nonblocking && e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Timer-tick reap: join capacity for finished readers is
-                // reclaimed even when no new connection ever arrives.
-                readers.retain(|j| !j.is_finished());
-                std::thread::sleep(poll);
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok((stream, _)) = accepted else {
+            continue;
+        };
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        obs.connections_total.inc();
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(poll));
+        let tx = cmd_tx.clone();
+        let shared = Arc::clone(shared);
+        let reader_threads = obs.reader_threads.clone();
+        reader_threads.inc();
+        let conn_obs = obs.clone();
+        match std::thread::Builder::new()
+            .name("adcast-conn".into())
+            .spawn(move || {
+                connection_loop(stream, &tx, &shared, &conn_obs);
+                conn_obs.reader_threads.dec();
+            }) {
+            Ok(join) => readers.push(join),
+            Err(_) => reader_threads.dec(),
+        }
+        readers.retain(|j| !j.is_finished());
     }
     for j in readers {
         let _ = j.join();
@@ -511,24 +467,18 @@ fn connection_loop(
     }
 }
 
-/// The engine thread's state: the single owner of the store and driver,
-/// plus the counters and telemetry handles its RPC loop feeds.
+/// The engine thread's state: the partition [`Node`] it drives, plus the
+/// queue bookkeeping and telemetry handles its RPC loop feeds.
 struct Engine {
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Option<Durability>,
-    /// The node's cluster identity; mutated only here (fencing on a
-    /// stale-epoch refusal, promotion, degraded-mode transitions).
-    cluster: ClusterState,
+    /// The single owner of the store, driver, durability, and cluster
+    /// identity; every mutation goes through it.
+    node: Node,
     /// Primary side: transport to this partition's follower.
     sink: Option<Box<dyn ReplicationSink>>,
-    /// Follower side: rebuild recipe for snapshot installs.
-    replica: Option<ReplicaSetup>,
     shared: Arc<Shared>,
     queue_depth: usize,
     flightrec_path: Option<PathBuf>,
     obs: NetObs,
-    repl_obs: ReplObs,
     rpcs: u64,
     /// Trace context of the command being served (the wire context's
     /// child after the queue-wait span); `NONE` for unsampled requests.
@@ -543,13 +493,7 @@ impl Engine {
         // gone (host-side `Server::shutdown` + all readers exited).
         let mut draining = false;
         while let Ok(cmd) = cmd_rx.recv() {
-            let is_shutdown = self.serve_one(cmd);
-            // Periodic snapshots happen between RPCs, where the worker pool
-            // is idle — the engine thread sees a consistent cut for free.
-            if let Some(d) = self.durability.as_mut() {
-                d.maybe_snapshot(&self.store, &self.driver);
-            }
-            if is_shutdown {
+            if self.serve_one(cmd) {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(addr); // unblock accept()
                 draining = true;
@@ -569,163 +513,18 @@ impl Engine {
         if let Some(path) = &self.flightrec_path {
             let _ = flightrec().dump_to_path(path);
         }
-        // Dropping `durability` (with self) joins the persister after any
-        // in-flight snapshot finishes.
+        // Dropping the node's durability (with self) joins the persister
+        // after any in-flight snapshot finishes.
     }
 
-    /// WAL-log `record` (when durability is on), group-commit it, apply
-    /// it through the shared [`apply_record`] path, then — on a cluster
-    /// primary — ship it to the follower and wait for the durable ack
-    /// (the replication ack ladder; see DESIGN § 14). A commit failure
-    /// means the mutation is **not durable**: it is refused without being
-    /// applied, so memory and log can never diverge.
-    fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, WireError> {
-        if self.cluster.fenced {
-            // A deposed primary must not accept writes the promoted
-            // follower will never see.
-            return Err(WireError::StaleEpoch {
-                current: self.cluster.epoch,
-            });
-        }
-        let ladder_started = now_ns();
-        let salt = u64::from(self.cluster.partition);
-        let mut trace = self.cur_trace;
-        let mut shipment: Option<(u64, Bytes)> = None;
-        if let Some(d) = self.durability.as_mut() {
-            let wal_started = now_ns();
-            let logged = d.log(&record);
-            let committed = logged.is_ok() && d.commit().is_ok();
-            let wal_ns = now_ns().saturating_sub(wal_started);
-            self.obs.wal_commit_ns.record(wal_ns);
-            tracestore().record(trace, SpanKind::WalCommit, salt, wal_started, wal_ns);
-            trace = trace.child(SpanKind::WalCommit, salt);
-            if !committed {
-                return Err(WireError::Unavailable);
-            }
-            if self.sink.is_some() {
-                if let Ok(lsn) = logged {
-                    shipment = Some((lsn, record.encode()));
-                }
-            }
-        }
-        let apply_started = now_ns();
-        let outcome = apply_record(&mut self.store, &mut self.driver, record);
-        let apply_ns = now_ns().saturating_sub(apply_started);
-        self.obs.engine_apply_ns.record(apply_ns);
-        tracestore().record(trace, SpanKind::EngineApply, salt, apply_started, apply_ns);
-        trace = trace.child(SpanKind::EngineApply, salt);
-        let effect = outcome.map_err(|why| {
-            if self.driver.is_dead() {
-                WireError::Unavailable
-            } else {
-                WireError::BadRequest(why)
-            }
-        })?;
-        if let Some((lsn, payload)) = shipment {
-            self.replicate(lsn, payload, trace)?;
-        }
-        self.repl_obs
-            .ack_ladder_ns
-            .record(now_ns().saturating_sub(ladder_started));
-        Ok(effect)
-    }
-
-    /// Ship one committed record to the follower and block for its
-    /// durable ack. Failure policy: an epoch refusal fences this node
-    /// (it has been deposed), an LSN gap falls back to snapshot-transfer
-    /// catch-up, and an unreachable follower degrades the primary to
-    /// local-durable acks rather than stalling the partition.
-    fn replicate(
-        &mut self,
-        lsn: u64,
-        payload: Bytes,
-        trace: TraceContext,
-    ) -> Result<(), WireError> {
-        let epoch = self.cluster.epoch;
-        let salt = u64::from(self.cluster.partition);
-        let Some(sink) = self.sink.as_mut() else {
-            return Ok(());
-        };
-        let ship_started = now_ns();
-        // The follower parents its spans on our replicate span — whose id
-        // is derived, so it can ride the wire before the span is timed.
-        let outcome = sink.replicate(
-            epoch,
-            trace.child(SpanKind::Replicate, salt),
-            &[(lsn, payload)],
-        );
-        let ship_ns = now_ns().saturating_sub(ship_started);
-        self.repl_obs.ship_ns.record(ship_ns);
-        tracestore().record(trace, SpanKind::Replicate, salt, ship_started, ship_ns);
-        match outcome {
-            Ok(follower_next) => {
-                self.repl_obs.shipped_total.inc();
-                self.set_degraded(false);
-                let next = self
-                    .durability
-                    .as_ref()
-                    .map_or(lsn + 1, Durability::next_lsn);
-                let lag = next.saturating_sub(follower_next);
-                self.repl_obs
-                    .lag_records
-                    .set(i64::try_from(lag).unwrap_or(i64::MAX));
-                Ok(())
-            }
-            Err(ReplicateError::Fenced { current }) => {
-                self.cluster.fenced = true;
-                self.repl_obs.fenced_total.inc();
-                Err(WireError::StaleEpoch { current })
-            }
-            Err(ReplicateError::LsnGap { .. }) => self.catch_up_follower(),
-            Err(ReplicateError::Unreachable) => {
-                self.set_degraded(true);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flip the partition's degraded state everywhere it is visible at
-    /// once: the cluster state, the transition counter, the gauge twin,
-    /// and the process `/readyz` bit.
-    fn set_degraded(&mut self, degraded: bool) {
-        if degraded && !self.cluster.degraded {
-            self.repl_obs.degraded_total.inc();
-        }
-        self.cluster.degraded = degraded;
-        self.repl_obs.degraded.set(i64::from(degraded));
-        readiness().set(UNREADY_DEGRADED, degraded);
-    }
-
-    /// Snapshot-transfer catch-up: the follower's WAL does not continue
-    /// ours (fresh node, rejoin after divergence), so ship the full
-    /// image. The capture happens post-apply, so it already contains the
-    /// record whose shipment detected the gap — no entry retry needed.
-    fn catch_up_follower(&mut self) -> Result<(), WireError> {
-        let Some(d) = self.durability.as_ref() else {
-            return Ok(());
-        };
-        let image = EngineSetSnapshot::capture(d.next_lsn(), &self.store, &self.driver).encode();
-        self.repl_obs.snapshots_shipped_total.inc();
-        let epoch = self.cluster.epoch;
-        let Some(sink) = self.sink.as_mut() else {
-            return Ok(());
-        };
-        match sink.install(epoch, image) {
-            Ok(_) => {
-                self.set_degraded(false);
-                self.repl_obs.lag_records.set(0);
-                Ok(())
-            }
-            Err(ReplicateError::Fenced { current }) => {
-                self.cluster.fenced = true;
-                self.repl_obs.fenced_total.inc();
-                Err(WireError::StaleEpoch { current })
-            }
-            Err(_) => {
-                self.set_degraded(true);
-                Ok(())
-            }
-        }
+    /// Run one validated mutation up the node's ack ladder, shipping
+    /// through this server's sink.
+    fn submit(&mut self, record: WalRecord) -> Result<ApplyEffect, WireError> {
+        let sink = self
+            .sink
+            .as_deref_mut()
+            .map(|s| s as &mut dyn ReplicationSink);
+        self.node.submit(record, self.cur_trace, sink)
     }
 
     /// Serve one admitted command; returns whether it acked a shutdown
@@ -749,7 +548,7 @@ impl Engine {
         // A sampled wire context (routed client traffic or a replicated
         // batch) records the queue-wait span here; everything downstream
         // in this command parents on it through `cur_trace`.
-        let salt = u64::from(self.cluster.partition);
+        let salt = u64::from(self.node.cluster().partition);
         let wire_trace = match &req {
             Request::Routed { trace, .. } | Request::ReplAppend { trace, .. } => *trace,
             _ => TraceContext::NONE,
@@ -772,7 +571,7 @@ impl Engine {
                 trace: _,
                 inner,
             } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
+                if let Err(err) = self.node.cluster().admit(partition, epoch) {
                     let _ = reply.send(Response::Error(err));
                     return false;
                 }
@@ -784,7 +583,7 @@ impl Engine {
         // control RPCs; client traffic is refused with a typed error so
         // the router (or a misdirected client) knows to go to the
         // primary rather than seeing timeouts or wrong answers.
-        if self.cluster.role == NodeRole::Follower
+        if self.node.cluster().role == NodeRole::Follower
             && matches!(
                 req,
                 Request::Ingest { .. }
@@ -807,23 +606,22 @@ impl Engine {
         let started = now_ns();
         let resp = match req {
             Request::Ingest { deltas } => {
-                if self.driver.is_dead() {
+                let num_users = self.node.driver().num_users();
+                if self.node.driver().is_dead() {
                     Response::Error(WireError::Unavailable)
-                } else if let Some((user, _)) = deltas
-                    .iter()
-                    .find(|(u, _)| u.index() >= self.driver.num_users() as usize)
+                } else if let Some((user, _)) =
+                    deltas.iter().find(|(u, _)| u.index() >= num_users as usize)
                 {
                     // Validate ids *before* logging or dispatch: an
                     // out-of-range user would panic a shard worker, and a
                     // record that cannot apply must never reach the WAL
                     // (replay aborts on apply failures).
                     Response::Error(WireError::BadRequest(format!(
-                        "user {} out of range (num_users = {})",
-                        user.0,
-                        self.driver.num_users()
+                        "user {} out of range (num_users = {num_users})",
+                        user.0
                     )))
                 } else {
-                    match self.log_apply(WalRecord::IngestBatch(deltas)) {
+                    match self.submit(WalRecord::IngestBatch(deltas)) {
                         Ok(ApplyEffect::Ingested { accepted }) => Response::Ingested { accepted },
                         Ok(_) => Response::Error(WireError::Unavailable),
                         Err(err) => Response::Error(err),
@@ -836,23 +634,14 @@ impl Engine {
                 location,
                 k,
             } => {
-                if user.index() >= self.driver.num_users() as usize {
+                let num_users = self.node.driver().num_users();
+                if user.index() >= num_users as usize {
                     Response::Error(WireError::BadRequest(format!(
-                        "user {} out of range (num_users = {})",
-                        user.0,
-                        self.driver.num_users()
+                        "user {} out of range (num_users = {num_users})",
+                        user.0
                     )))
                 } else {
-                    // Reads are not logged: the engine refreshes rankings
-                    // eagerly on ingest, so recommendations are a pure
-                    // function of the mutation history the WAL captures.
-                    Response::Recommendations(self.driver.recommend(
-                        &self.store,
-                        user,
-                        now,
-                        location,
-                        k as usize,
-                    ))
+                    Response::Recommendations(self.node.recommend(user, now, location, k as usize))
                 }
             }
             Request::SubmitCampaign(spec) => match spec.try_into_submission() {
@@ -866,7 +655,7 @@ impl Engine {
                             sub.bid
                         )))
                     } else {
-                        match self.log_apply(WalRecord::Submit(sub)) {
+                        match self.submit(WalRecord::Submit(sub)) {
                             Ok(ApplyEffect::Submitted { ad }) => Response::CampaignAccepted { ad },
                             Ok(_) => Response::Error(WireError::Unavailable),
                             Err(err) => Response::Error(err),
@@ -874,7 +663,7 @@ impl Engine {
                     }
                 }
             },
-            Request::PauseCampaign { ad } => match self.log_apply(WalRecord::Pause(ad)) {
+            Request::PauseCampaign { ad } => match self.submit(WalRecord::Pause(ad)) {
                 Ok(ApplyEffect::Paused { changed: true }) => Response::CampaignPaused { ad },
                 Ok(ApplyEffect::Paused { changed: false }) => {
                     Response::Error(WireError::UnknownCampaign(ad))
@@ -888,7 +677,7 @@ impl Engine {
                 clicked,
                 now,
             } => {
-                if self.store.campaign(ad).is_none() {
+                if self.node.store().campaign(ad).is_none() {
                     Response::Error(WireError::UnknownCampaign(ad))
                 } else {
                     let record = WalRecord::Impression {
@@ -897,7 +686,7 @@ impl Engine {
                         clicked,
                         now,
                     };
-                    match self.log_apply(record) {
+                    match self.submit(record) {
                         Ok(ApplyEffect::Impression { state }) => Response::ImpressionRecorded {
                             ad,
                             exhausted: state == Some(CampaignState::Exhausted),
@@ -908,10 +697,10 @@ impl Engine {
                 }
             }
             Request::Maintain { now, idle_for } => {
-                if self.driver.is_dead() {
+                if self.node.driver().is_dead() {
                     Response::Error(WireError::Unavailable)
                 } else {
-                    match self.log_apply(WalRecord::Maintenance { now, idle_for }) {
+                    match self.submit(WalRecord::Maintenance { now, idle_for }) {
                         Ok(ApplyEffect::Maintained {
                             scanned,
                             decayed,
@@ -926,14 +715,9 @@ impl Engine {
                     }
                 }
             }
-            Request::Checkpoint => match self.durability.as_mut() {
-                None => Response::Error(WireError::BadRequest(
-                    "server is running without a data directory (start with --data-dir)".into(),
-                )),
-                Some(d) => match d.checkpoint(&self.store, &self.driver) {
-                    Ok(lsn) => Response::Checkpointed { lsn },
-                    Err(_) => Response::Error(WireError::Unavailable),
-                },
+            Request::Checkpoint => match self.node.checkpoint() {
+                Ok(lsn) => Response::Checkpointed { lsn },
+                Err(err) => Response::Error(err),
             },
             Request::ObsDump => match self.flightrec_path.as_deref() {
                 None => Response::Error(WireError::BadRequest(
@@ -945,16 +729,16 @@ impl Engine {
                 },
             },
             Request::Stats => {
-                let engine = self.driver.stats();
+                let engine = self.node.driver().stats();
                 let dur = self
-                    .durability
-                    .as_ref()
+                    .node
+                    .durability()
                     .map(Durability::counters)
                     .unwrap_or_default();
                 Response::Stats(ServerStats {
                     deltas: engine.deltas,
                     recommends: engine.recommends,
-                    active_campaigns: self.store.num_active() as u64,
+                    active_campaigns: self.node.store().num_active() as u64,
                     rpcs: self.rpcs,
                     shed: self.shared.shed.load(Ordering::Relaxed),
                     connections: self.shared.connections.load(Ordering::Relaxed),
@@ -976,99 +760,39 @@ impl Engine {
                 epoch,
                 trace: _,
                 entries,
-            } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
-                    Response::Error(err)
-                } else if self.cluster.role != NodeRole::Follower {
-                    Response::Error(WireError::BadRequest(
-                        "replication append to a non-follower".into(),
-                    ))
-                } else {
-                    match self.durability.as_mut() {
-                        None => Response::Error(WireError::BadRequest(
-                            "follower is running without a data directory".into(),
-                        )),
-                        Some(d) => {
-                            match replica_append(
-                                d,
-                                &mut self.store,
-                                &mut self.driver,
-                                self.cur_trace,
-                                &entries,
-                            ) {
-                                Ok(durable_lsn) => Response::ReplAck { durable_lsn },
-                                Err(e) => Response::Error(e.to_wire()),
-                            }
-                        }
-                    }
-                }
-            }
+            } => match self
+                .node
+                .append_replica(partition, epoch, self.cur_trace, &entries)
+            {
+                Ok(durable_lsn) => Response::ReplAck { durable_lsn },
+                Err(err) => Response::Error(err),
+            },
             Request::InstallSnapshot {
                 partition,
                 epoch,
                 snapshot,
-            } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
-                    Response::Error(err)
-                } else if self.cluster.role != NodeRole::Follower {
-                    Response::Error(WireError::BadRequest(
-                        "snapshot install on a non-follower".into(),
-                    ))
-                } else {
-                    match self.replica.as_ref() {
-                        None => Response::Error(WireError::BadRequest(
-                            "follower is running without replica setup".into(),
-                        )),
-                        Some(setup) => {
-                            // The node's state lags the primary until the
-                            // install completes: `/readyz` says so.
-                            readiness().set(UNREADY_CATCHING_UP, true);
-                            let outcome = install_snapshot_on(setup, snapshot);
-                            readiness().set(UNREADY_CATCHING_UP, false);
-                            match outcome {
-                                Ok((store, driver, durability)) => {
-                                    let next_lsn = durability.next_lsn();
-                                    self.store = store;
-                                    self.driver = driver;
-                                    self.durability = Some(durability);
-                                    Response::SnapshotInstalled { next_lsn }
-                                }
-                                Err(e) => Response::Error(e.to_wire()),
-                            }
-                        }
-                    }
-                }
-            }
-            Request::Promote { partition, epoch } => {
-                let was_primary = self.cluster.role == NodeRole::Primary;
-                match promote(&mut self.cluster, partition, epoch) {
-                    Ok(()) => {
-                        if !was_primary {
-                            self.repl_obs.promotions_total.inc();
-                        }
-                        self.repl_obs
-                            .epoch
-                            .set(i64::try_from(self.cluster.epoch).unwrap_or(i64::MAX));
-                        // A fresh primary serves degraded until a follower
-                        // is enrolled; surface that on `/readyz` too.
-                        self.repl_obs.degraded.set(i64::from(self.cluster.degraded));
-                        readiness().set(UNREADY_DEGRADED, self.cluster.degraded);
-                        Response::Promoted {
-                            epoch: self.cluster.epoch,
-                            next_lsn: self.durability.as_ref().map_or(0, Durability::next_lsn),
-                        }
-                    }
-                    Err(err) => Response::Error(err),
-                }
-            }
-            Request::ClusterStatus => Response::ClusterStatusReply {
-                role: self.cluster.role,
-                partition: self.cluster.partition,
-                epoch: self.cluster.epoch,
-                durable_lsn: self.durability.as_ref().map_or(0, Durability::next_lsn),
-                fenced: self.cluster.fenced,
-                degraded: self.cluster.degraded,
+            } => match self.node.install_snapshot(partition, epoch, snapshot) {
+                Ok(next_lsn) => Response::SnapshotInstalled { next_lsn },
+                Err(err) => Response::Error(err),
             },
+            Request::Promote { partition, epoch } => match self.node.promote(partition, epoch) {
+                Ok(()) => Response::Promoted {
+                    epoch: self.node.cluster().epoch,
+                    next_lsn: self.node.next_lsn(),
+                },
+                Err(err) => Response::Error(err),
+            },
+            Request::ClusterStatus => {
+                let cluster = self.node.cluster();
+                Response::ClusterStatusReply {
+                    role: cluster.role,
+                    partition: cluster.partition,
+                    epoch: cluster.epoch,
+                    durable_lsn: self.node.next_lsn(),
+                    fenced: cluster.fenced,
+                    degraded: cluster.degraded,
+                }
+            }
             // Unreachable: the envelope was unwrapped above and the
             // decoder refuses nesting, but the match must stay total.
             Request::Routed { .. } => {

@@ -9,7 +9,7 @@
 //! straight-line string work over [`http_get`].
 
 use crate::expo::{parse_exposition, render_labels, Sample};
-use crate::http::{default_route, Handler, HttpResponse, EXPOSITION_CONTENT_TYPE};
+use crate::http::{Handler, HttpResponse, EXPOSITION_CONTENT_TYPE};
 use crate::registry::Registry;
 use crate::tracestore::{
     parse_trace_json, parse_trace_list_json, render_trace_json, render_trace_list_json, tracestore,
@@ -281,12 +281,6 @@ impl Handler for Federator {
             }
         }
     }
-}
-
-/// Convenience for tests: answer like a plain member would.
-#[must_use]
-pub fn member_route(path: &str, reg: &Registry) -> HttpResponse {
-    default_route(path, reg)
 }
 
 #[cfg(test)]

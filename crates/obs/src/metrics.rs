@@ -10,7 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use adcast_metrics::histogram::{bucket_of, NUM_BUCKETS};
 
@@ -128,18 +127,6 @@ impl Hist {
         self.inner.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the nanoseconds elapsed since `since` (the span-timing
-    /// idiom: `let t = Instant::now(); ...; hist.record_elapsed(t)`).
-    #[inline]
-    pub fn record_elapsed(&self, since: Instant) {
-        let nanos = since.elapsed().as_nanos();
-        self.record(if nanos > u64::MAX as u128 {
-            u64::MAX
-        } else {
-            nanos as u64
-        });
     }
 
     /// Total observations recorded so far.

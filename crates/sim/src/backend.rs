@@ -10,8 +10,8 @@
 //! Faults:
 //!
 //! * **fsync latency** — every `sync_data` advances the shared
-//!   [`SimClock`] by a configured cost, so fsync-bound behavior shows up
-//!   in virtual-time spans without any real sleeping,
+//!   [`SimClock`] by a configured cost instead of sleeping (spans still
+//!   read wall time through `now_ns()`; the sim clock is never printed),
 //! * **fsync stall** — a one-shot extra delay consumed by the next
 //!   `sync_data` (a device hiccup),
 //! * **crash** — [`MemBackend::crash`] truncates every file to its synced

@@ -2,15 +2,14 @@
 //! under virtual time.
 //!
 //! [`run_cluster`] drives N partitions, each a primary/follower pair of
-//! full engine+durability stacks on their own [`MemBackend`]s, through
-//! the *same* transport-free replication core the live server uses
-//! (`replica_append`, `install_snapshot_on`, `promote`, epoch
-//! admission) — no sockets, no threads, no wall clock. The harness
-//! plays the roles the network plays in production: it routes ingest
-//! sub-batches to the owning partition's primary, runs the primary ack
-//! ladder (log → commit → apply → replicate → ack), and delivers
-//! shipments to followers or drops them when a fault says the link is
-//! down.
+//! [`Node`]s on their own [`MemBackend`]s — the partition node the live
+//! server runs, so every write climbs the shipping ack ladder (log →
+//! commit → apply → replicate → ack) with its fencing, degraded-mode,
+//! and catch-up decisions. No sockets, no threads, no wall clock. The
+//! harness plays the roles the network plays in production: it routes
+//! ingest sub-batches to the owning partition's primary, and its
+//! in-memory [`ReplicationSink`] delivers shipments to the follower
+//! node, or drops them while a fault holds the link down.
 //!
 //! What the scenarios prove, deterministically and in milliseconds:
 //!
@@ -18,7 +17,7 @@
 //!   promotes under a bumped epoch and every client-acked record is
 //!   already durable *and applied* on it — zero acked loss, and the
 //!   promoted state is byte-identical to a clean replay of the acked
-//!   log (the PR-3 twin check, now surviving machine loss).
+//!   log (the single-node twin check, now surviving machine loss).
 //! * **Isolate the follower** ([`ClusterFault::IsolateFollower`]): the
 //!   primary degrades to local-durable acks; on reconnect the follower
 //!   refuses the gap with a typed `LsnGap` and catches up by snapshot
@@ -34,26 +33,21 @@
 
 use std::sync::Arc;
 
-use adcast_ads::AdStore;
-use adcast_core::{EngineConfig, ShardedDriver};
-use adcast_durability::recovery::recover_on;
-use adcast_durability::snapshot::EngineSetSnapshot;
-use adcast_durability::{
-    apply_record, Durability, DurabilityOptions, StorageBackend, WalOptions, WalRecord,
-};
+use adcast_core::EngineConfig;
+use adcast_durability::{DurabilityOptions, WalOptions, WalRecord};
 use adcast_graph::UserId;
 use adcast_net::protocol::WireError;
-use adcast_net::replication::{
-    install_snapshot_on, promote, replica_append, ClusterState, ReplicaError, ReplicaSetup,
-};
+use adcast_net::replication::{ClusterState, ReplicateError, ReplicationSink};
 use adcast_net::synth::{self, SynthConfig, SynthWorkload};
-use adcast_obs::tracestore::{trace_id_for, SpanKind, TraceContext};
-use adcast_obs::{readiness, UNREADY_CATCHING_UP};
+use adcast_net::Node;
+use adcast_obs::tracestore::{trace_id_for, TraceContext};
 use adcast_stream::clock::{SimClock, Timestamp};
+use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::MemBackend;
+use crate::runner::{event_time, render, NodeSpec};
 
 /// An injectable cluster fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +190,11 @@ pub struct ClusterCounters {
     /// Byte-identical state checks passed (promotion twins, catch-up
     /// convergence, end-of-run replica agreement).
     pub twin_checks: u64,
+    /// Times a primary entered degraded mode (its follower unreachable).
+    pub degraded_entries: u64,
+    /// Times a degraded primary (follower unreachable, or freshly
+    /// promoted) had a follower again.
+    pub degraded_exits: u64,
 }
 
 /// What a cluster run produced.
@@ -211,32 +210,119 @@ pub struct ClusterOutcome {
     pub counters: ClusterCounters,
 }
 
-/// One engine+durability stack on its own simulated disk.
+/// One partition node on its own simulated disk.
 struct SimNode {
     backend: Arc<MemBackend>,
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Durability,
-    state: ClusterState,
+    node: Node,
     alive: bool,
 }
 
-impl SimNode {
-    fn state_bytes(&self) -> Vec<u8> {
-        EngineSetSnapshot::capture(self.durability.next_lsn(), &self.store, &self.driver)
-            .encode()
-            .to_vec()
+/// Both nodes of a pair, `first` and then the other one, borrowed apart.
+fn pair_mut(nodes: &mut [SimNode; 2], first: usize) -> (&mut SimNode, &mut SimNode) {
+    let [a, b] = nodes;
+    if first == 0 {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// The in-memory replication link from a primary to its follower: it
+/// delivers to the follower node's own `append_replica` and
+/// `install_snapshot`, refuses everything while the link is down, and
+/// maps the follower's refusals onto the sink contract the way the TCP
+/// sink does. It also keeps the harness's books: counters, transcript
+/// lines, and the byte-identity check on every installed snapshot.
+struct MemLink<'a> {
+    partition: u16,
+    follower: &'a mut Node,
+    down: bool,
+    now: Timestamp,
+    c: &'a mut ClusterCounters,
+    transcript: &'a mut Vec<String>,
+    /// Set once a live snapshot seeds the follower (see
+    /// [`SimPartition::snapshot_seeded`]).
+    seeded: &'a mut bool,
+    /// A failure the sink contract has no variant for: a bug in the
+    /// stack, so the harness fails the run instead of degrading.
+    error: Option<String>,
+}
+
+impl MemLink<'_> {
+    fn line(&mut self, body: String) {
+        self.transcript.push(format!("t={} {body}", self.now));
+    }
+
+    fn fail(&mut self, why: String) -> ReplicateError {
+        self.error = Some(format!("partition {}: {why}", self.partition));
+        ReplicateError::Unreachable
+    }
+}
+
+impl ReplicationSink for MemLink<'_> {
+    fn replicate(
+        &mut self,
+        epoch: u64,
+        trace: TraceContext,
+        entries: &[(u64, Bytes)],
+    ) -> Result<u64, ReplicateError> {
+        if self.down {
+            self.c.dropped_shipments += 1;
+            return Err(ReplicateError::Unreachable);
+        }
+        match self
+            .follower
+            .append_replica(self.partition, epoch, trace, entries)
+        {
+            Ok(next_lsn) => {
+                self.c.shipments += 1;
+                Ok(next_lsn)
+            }
+            Err(WireError::LsnGap { expected }) => {
+                self.c.lsn_gap_refusals += 1;
+                Err(ReplicateError::LsnGap { expected })
+            }
+            Err(WireError::StaleEpoch { current }) => Err(ReplicateError::Fenced { current }),
+            Err(e) => Err(self.fail(format!("replica append failed: {e}"))),
+        }
+    }
+
+    fn install(&mut self, epoch: u64, snapshot: Bytes) -> Result<u64, ReplicateError> {
+        if self.down {
+            return Err(ReplicateError::Unreachable);
+        }
+        // The follower is unready for the duration of the install, and
+        // the transcript pins both edges of the flip.
+        let p = self.partition;
+        self.line(format!("readyz partition={p} state=catching_up"));
+        let installed = self.follower.install_snapshot(p, epoch, snapshot.clone());
+        self.line(format!("readyz partition={p} state=ready"));
+        let next_lsn = match installed {
+            Ok(next_lsn) => next_lsn,
+            Err(WireError::StaleEpoch { current }) => {
+                return Err(ReplicateError::Fenced { current })
+            }
+            Err(e) => return Err(self.fail(format!("snapshot install failed: {e}"))),
+        };
+        *self.seeded = true;
+        if self.follower.image() != snapshot {
+            return Err(self.fail("installed snapshot recaptures differently".to_string()));
+        }
+        self.c.catch_up_snapshots += 1;
+        self.c.twin_checks += 1;
+        self.line(format!("catch_up partition={p} lsn={next_lsn}"));
+        Ok(next_lsn)
     }
 }
 
 /// One partition's pair plus the harness's router-side view of it.
 struct SimPartition {
     /// `nodes[0]` starts as primary, `nodes[1]` as follower.
-    nodes: Vec<SimNode>,
+    nodes: [SimNode; 2],
     /// Index of the current primary in `nodes`.
     serving: usize,
-    /// Index of the current follower, when one is attached.
-    follower: Option<usize>,
+    /// Whether the other node is attached as the primary's follower.
+    attached: bool,
     /// The router's epoch for this partition.
     epoch: u64,
     /// Ingest batches the follower link stays down for.
@@ -253,6 +339,7 @@ struct SimPartition {
 
 struct ClusterRunner {
     config: ClusterSimConfig,
+    spec: NodeSpec,
     clock: Arc<SimClock>,
     parts: Vec<SimPartition>,
     rng: SmallRng,
@@ -294,27 +381,32 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
     }
     let workload = synth::build(&config.synth);
     let clock = Arc::new(SimClock::new());
+    let spec = NodeSpec {
+        num_users: workload.num_users,
+        num_shards: config.num_shards,
+        engine: config.engine.clone(),
+        options: DurabilityOptions {
+            wal: config.wal,
+            snapshot_every: config.snapshot_every,
+            keep_snapshots: config.keep_snapshots,
+        },
+    };
     let mut parts = Vec::with_capacity(config.partitions);
-    for p in 0..config.partitions {
-        let partition = p as u16;
-        let nodes = vec![
-            fresh_node(
-                &config,
-                &clock,
-                workload.num_users,
-                ClusterState::primary(partition, 0),
-            )?,
-            fresh_node(
-                &config,
-                &clock,
-                workload.num_users,
-                ClusterState::follower(partition, 0),
-            )?,
-        ];
+    for p in 0..config.partitions as u16 {
+        let [primary, follower] =
+            [ClusterState::primary(p, 0), ClusterState::follower(p, 0)].map(|state| {
+                let backend = MemBackend::new(Arc::clone(&clock), config.fsync_latency_ns);
+                let (node, _) = spec.recover(&backend, state)?;
+                Ok::<_, String>(SimNode {
+                    backend,
+                    node,
+                    alive: true,
+                })
+            });
         parts.push(SimPartition {
-            nodes,
+            nodes: [primary?, follower?],
             serving: 0,
-            follower: Some(1),
+            attached: true,
             epoch: 0,
             isolated: 0,
             snapshot_seeded: false,
@@ -324,6 +416,7 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
     let seed = config.synth.seed;
     let runner = ClusterRunner {
         config,
+        spec,
         clock,
         parts,
         rng: SmallRng::seed_from_u64(seed ^ 0xC1_057E2),
@@ -333,41 +426,6 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
         c: ClusterCounters::default(),
     };
     runner.execute(workload)
-}
-
-fn fresh_node(
-    config: &ClusterSimConfig,
-    clock: &Arc<SimClock>,
-    num_users: u32,
-    state: ClusterState,
-) -> Result<SimNode, String> {
-    let backend = MemBackend::new(Arc::clone(clock), config.fsync_latency_ns);
-    let recovered = recover_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        num_users,
-        config.num_shards,
-        config.engine.clone(),
-        config.wal,
-    )
-    .map_err(|e| e.to_string())?;
-    let durability = Durability::new_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        recovered.wal,
-        DurabilityOptions {
-            wal: config.wal,
-            snapshot_every: config.snapshot_every,
-            keep_snapshots: config.keep_snapshots,
-        },
-        recovered.report,
-    );
-    Ok(SimNode {
-        backend,
-        store: recovered.store,
-        driver: recovered.driver,
-        durability,
-        state,
-        alive: true,
-    })
 }
 
 impl ClusterRunner {
@@ -401,13 +459,7 @@ impl ClusterRunner {
                 self.fire(fault)?;
             }
 
-            for (_, delta) in &batch {
-                if let Some(m) = &delta.entered {
-                    if m.ts > self.now {
-                        self.now = m.ts;
-                    }
-                }
-            }
+            self.now = event_time(self.now, &batch);
 
             // The router's split: one sub-batch per owning partition.
             let mut subs: Vec<Vec<(UserId, adcast_feed::FeedDelta)>> =
@@ -442,12 +494,11 @@ impl ClusterRunner {
         for p in 0..self.parts.len() {
             self.check_replica_agreement(p)?;
             let part = &self.parts[p];
-            let primary = &part.nodes[part.serving];
-            if part.acked_log.len() as u64 != primary.durability.next_lsn() {
+            let primary_lsn = part.nodes[part.serving].node.next_lsn();
+            if part.acked_log.len() as u64 != primary_lsn {
                 return Err(format!(
-                    "partition {p}: {} acked records but primary lsn {}",
+                    "partition {p}: {} acked records but primary lsn {primary_lsn}",
                     part.acked_log.len(),
-                    primary.durability.next_lsn()
                 ));
             }
         }
@@ -486,47 +537,67 @@ impl ClusterRunner {
         }
     }
 
-    /// The primary ack ladder for one record on one partition:
-    /// log → commit → apply → replicate → ack. Mirrors the server's
-    /// `log_apply` + `replicate` exactly, with the harness as the wire.
+    /// Run `step` on node `from` of partition `p` with the in-memory link
+    /// to the pair's other node as its sink. Counts the node's degraded
+    /// transitions, and fails the run on any refusal the sink contract
+    /// has no variant for.
+    fn over_link<T>(
+        &mut self,
+        p: usize,
+        from: usize,
+        down: bool,
+        step: impl FnOnce(&mut Node, &mut MemLink<'_>) -> T,
+    ) -> Result<T, String> {
+        let part = &mut self.parts[p];
+        let (node, other) = pair_mut(&mut part.nodes, from);
+        let mut link = MemLink {
+            partition: p as u16,
+            follower: &mut other.node,
+            down,
+            now: self.now,
+            c: &mut self.c,
+            transcript: &mut self.transcript,
+            seeded: &mut part.snapshot_seeded,
+            error: None,
+        };
+        let was_degraded = node.node.cluster().degraded;
+        let out = step(&mut node.node, &mut link);
+        if let Some(error) = link.error {
+            return Err(error);
+        }
+        match (was_degraded, node.node.cluster().degraded) {
+            (false, true) => self.c.degraded_entries += 1,
+            (true, false) => self.c.degraded_exits += 1,
+            _ => {}
+        }
+        Ok(out)
+    }
+
+    /// One client write on one partition: the primary node's ack ladder
+    /// (log → commit → apply → replicate → ack), shipping over the
+    /// in-memory link when a follower is attached. Only an acked record
+    /// enters the loss oracle.
     fn ack_ladder(&mut self, p: usize, record: WalRecord) -> Result<(), String> {
         let trace = self.sample_trace();
-        let part = &mut self.parts[p];
-        let primary = &mut part.nodes[part.serving];
-        if primary.state.fenced || !primary.alive {
-            return Err(format!(
-                "partition {p}: routed a write to a dead/fenced node"
-            ));
+        let part = &self.parts[p];
+        let (serving, attached, down) = (part.serving, part.attached, part.isolated > 0);
+        if !part.nodes[serving].alive {
+            return Err(format!("partition {p}: routed a write to a dead node"));
         }
-        let lsn = primary.durability.log(&record).map_err(|e| e.to_string())?;
-        primary.durability.commit().map_err(|e| e.to_string())?;
-        let payload = record.encode();
-        apply_record(&mut primary.store, &mut primary.driver, record.clone())?;
-        primary
-            .durability
-            .maybe_snapshot(&primary.store, &primary.driver);
-
-        let mut replicated = false;
-        if let Some(f) = part.follower {
-            if part.isolated > 0 {
-                // Link down: the primary degrades to local-durable acks
-                // (the record is still acked — fsynced locally).
-                self.c.dropped_shipments += 1;
-            } else {
-                let epoch = part.epoch;
-                self.ship(p, f, epoch, lsn, payload, trace)?;
-                replicated = true;
-            }
-        }
-        let part = &mut self.parts[p];
-        part.acked_log.push(record);
+        let acked = record.clone();
+        self.over_link(p, serving, down, |primary, link| {
+            let sink = attached.then_some(link as &mut dyn ReplicationSink);
+            primary.submit(record, trace, sink)
+        })?
+        .map_err(|e| format!("partition {p}: write refused: {e}"))?;
+        self.parts[p].acked_log.push(acked);
         self.c.acked_records += 1;
         if trace.sampled() {
             // The transcript's trace line is computed purely from the
             // config (never read back from the shared span ring, which a
             // double-run in one process would pollute): the id from the
             // sampling function, the hop list from the ladder just run.
-            let ladder = if replicated {
+            let ladder = if attached && !down {
                 "replicate,follower_commit,follower_apply"
             } else {
                 "local_durable"
@@ -536,96 +607,6 @@ impl ClusterRunner {
                 trace.trace_id
             ));
         }
-        Ok(())
-    }
-
-    /// Deliver one shipment to the follower; a gap triggers the
-    /// snapshot-transfer catch-up, exactly like the live sink path.
-    fn ship(
-        &mut self,
-        p: usize,
-        f: usize,
-        epoch: u64,
-        lsn: u64,
-        payload: bytes::Bytes,
-        trace: TraceContext,
-    ) -> Result<(), String> {
-        let partition = p as u16;
-        let follower = &mut self.parts[p].nodes[f];
-        follower
-            .state
-            .admit(partition, epoch)
-            .map_err(|e| format!("partition {p}: follower refused shipment: {e}"))?;
-        match replica_append(
-            &mut follower.durability,
-            &mut follower.store,
-            &mut follower.driver,
-            trace.child(SpanKind::Replicate, partition as u64),
-            &[(lsn, payload)],
-        ) {
-            Ok(_) => {
-                self.c.shipments += 1;
-                Ok(())
-            }
-            Err(ReplicaError::LsnGap { .. }) => {
-                self.c.lsn_gap_refusals += 1;
-                self.catch_up(p, f)?;
-                Ok(())
-            }
-            Err(e) => Err(format!("partition {p}: replica append failed: {e}")),
-        }
-    }
-
-    /// Snapshot-transfer catch-up: capture the primary's post-apply
-    /// image, rebuild the follower from it, and prove the installed
-    /// state recaptures to the exact shipped bytes.
-    fn catch_up(&mut self, p: usize, f: usize) -> Result<(), String> {
-        let part = &mut self.parts[p];
-        let snapshot = {
-            let primary = &part.nodes[part.serving];
-            EngineSetSnapshot::capture(
-                primary.durability.next_lsn(),
-                &primary.store,
-                &primary.driver,
-            )
-            .encode()
-        };
-        let setup = ReplicaSetup {
-            backend: Arc::clone(&part.nodes[f].backend) as Arc<dyn StorageBackend>,
-            options: DurabilityOptions {
-                wal: self.config.wal,
-                snapshot_every: self.config.snapshot_every,
-                keep_snapshots: self.config.keep_snapshots,
-            },
-            engine: self.config.engine.clone(),
-        };
-        // The follower is unready for the duration of the install, and
-        // the transcript pins both edges of the flip (the live server
-        // drives the same `/readyz` bit around its own install path).
-        self.line(format!("readyz partition={p} state=catching_up"));
-        readiness().set(UNREADY_CATCHING_UP, true);
-        let installed = install_snapshot_on(&setup, snapshot.clone());
-        readiness().set(UNREADY_CATCHING_UP, false);
-        self.line(format!("readyz partition={p} state=ready"));
-        let (store, driver, durability) =
-            installed.map_err(|e| format!("partition {p}: snapshot install failed: {e}"))?;
-        let part = &mut self.parts[p];
-        let follower = &mut part.nodes[f];
-        follower.store = store;
-        follower.driver = driver;
-        follower.durability = durability;
-        part.snapshot_seeded = true;
-        if follower.state_bytes() != snapshot.to_vec() {
-            return Err(format!(
-                "partition {p}: installed snapshot recaptures differently"
-            ));
-        }
-        self.c.catch_up_snapshots += 1;
-        self.c.twin_checks += 1;
-        self.line(format!(
-            "catch_up partition={p} lsn={}",
-            self.parts[p].nodes[f].durability.next_lsn()
-        ));
         Ok(())
     }
 
@@ -648,7 +629,7 @@ impl ClusterRunner {
             }
             ClusterFault::IsolateFollower { partition, batches } => {
                 let p = usize::from(partition);
-                if self.parts[p].follower.is_none() {
+                if !self.parts[p].attached {
                     return Err(format!("partition {p} has no follower to isolate"));
                 }
                 self.parts[p].isolated = batches;
@@ -669,7 +650,7 @@ impl ClusterRunner {
                 self.stale_write(p, deposed)?;
                 // It then rejoins as a follower of the new primary via
                 // snapshot transfer.
-                self.rejoin(p, deposed)
+                self.rejoin(p)
             }
         }
     }
@@ -677,48 +658,45 @@ impl ClusterRunner {
     /// The router's failover: bump the epoch and promote the follower.
     fn promote_follower(&mut self, p: usize) -> Result<(), String> {
         let part = &mut self.parts[p];
-        let Some(f) = part.follower else {
+        if !part.attached {
             return Err(format!("partition {p}: no follower to promote"));
-        };
+        }
+        let f = 1 - part.serving;
         let next_epoch = part.epoch + 1;
-        promote(&mut part.nodes[f].state, p as u16, next_epoch)
+        part.nodes[f]
+            .node
+            .promote(p as u16, next_epoch)
             .map_err(|e| format!("partition {p}: promotion refused: {e}"))?;
         part.epoch = next_epoch;
         part.serving = f;
-        part.follower = None;
+        part.attached = false;
         part.isolated = 0;
         self.c.promotions += 1;
         self.line(format!(
             "promoted partition={p} epoch={next_epoch} lsn={}",
-            self.parts[p].nodes[f].durability.next_lsn()
+            self.parts[p].nodes[f].node.next_lsn()
         ));
         Ok(())
     }
 
-    /// A deposed-but-alive primary writes once more; the shipment is
-    /// refused by epoch fencing and the node fences itself.
+    /// A deposed-but-alive primary takes one more write and ships it to
+    /// its old follower, now the promoted primary, which refuses the old
+    /// epoch; the deposed node fences itself and never acks the write.
     fn stale_write(&mut self, p: usize, deposed: usize) -> Result<(), String> {
-        let stale_epoch = {
-            let part = &mut self.parts[p];
-            let record = WalRecord::Maintenance {
-                now: self.now,
-                idle_for: adcast_stream::clock::Duration::from_secs(1),
-            };
-            let stale = &mut part.nodes[deposed];
-            stale.durability.log(&record).map_err(|e| e.to_string())?;
-            stale.durability.commit().map_err(|e| e.to_string())?;
-            apply_record(&mut stale.store, &mut stale.driver, record)?;
-            stale.state.epoch
+        let record = WalRecord::Maintenance {
+            now: self.now,
+            idle_for: adcast_stream::clock::Duration::from_secs(1),
         };
-        // The shipment: the new primary refuses the old epoch.
-        let part = &mut self.parts[p];
-        let refusal = part.nodes[part.serving].state.admit(p as u16, stale_epoch);
-        let Err(WireError::StaleEpoch { current }) = refusal else {
+        let stale_epoch = self.parts[p].nodes[deposed].node.cluster().epoch;
+        let refused = self.over_link(p, deposed, false, |stale, link| {
+            let outcome = stale.submit(record, TraceContext::NONE, Some(link));
+            (outcome, stale.cluster().fenced)
+        })?;
+        let (Err(WireError::StaleEpoch { current }), true) = refused else {
             return Err(format!(
                 "partition {p}: stale shipment was admitted (epoch {stale_epoch})"
             ));
         };
-        part.nodes[deposed].state.fenced = true;
         self.c.fenced_writes += 1;
         self.line(format!(
             "fenced partition={p} stale_epoch={stale_epoch} current={current}"
@@ -726,17 +704,19 @@ impl ClusterRunner {
         Ok(())
     }
 
-    /// Re-attach a fenced ex-primary as the follower of the current
-    /// primary: adopt the new epoch, rebuild by snapshot transfer.
-    fn rejoin(&mut self, p: usize, node: usize) -> Result<(), String> {
-        {
-            let part = &mut self.parts[p];
-            part.nodes[node].state = ClusterState::follower(p as u16, part.epoch);
-            part.follower = Some(node);
-        }
-        // The rejoining node's WAL diverged (the fenced write); the
-        // first shipment would refuse with a gap anyway — transfer now.
-        self.catch_up(p, node)?;
+    /// Re-attach the fenced ex-primary as the follower of the current
+    /// primary: adopt the new epoch, then the primary rebuilds it by
+    /// snapshot transfer. Its WAL diverged (the fenced write), so the
+    /// transfer happens now rather than on the first shipment's gap.
+    fn rejoin(&mut self, p: usize) -> Result<(), String> {
+        let part = &mut self.parts[p];
+        part.attached = true;
+        let (serving, epoch) = (part.serving, part.epoch);
+        self.over_link(p, serving, false, |primary, link| {
+            link.follower.enroll_follower(epoch);
+            primary.catch_up_follower(link)
+        })?
+        .map_err(|e| format!("partition {p}: catch-up refused: {e}"))?;
         self.line(format!("rejoined partition={p} as follower"));
         Ok(())
     }
@@ -750,30 +730,18 @@ impl ClusterRunner {
     /// accounting alone.
     fn check_replica_agreement(&mut self, p: usize) -> Result<(), String> {
         let part = &self.parts[p];
-        let Some(f) = part.follower else {
-            return Ok(());
-        };
-        let primary = &part.nodes[part.serving];
-        let follower = &part.nodes[f];
-        let follower_lsn = follower.durability.next_lsn();
-        if part.isolated == 0 && follower_lsn != primary.durability.next_lsn() {
-            return Err(format!(
-                "partition {p}: follower at lsn {follower_lsn}, primary at {}",
-                primary.durability.next_lsn()
-            ));
-        }
-        if part.snapshot_seeded {
+        if !part.attached {
             return Ok(());
         }
-        let twin_bytes = self.replay_twin(p, follower_lsn)?;
-        let part = &self.parts[p];
-        if part.nodes[f].state_bytes() != twin_bytes {
+        let f = 1 - part.serving;
+        let primary_lsn = part.nodes[part.serving].node.next_lsn();
+        let follower_lsn = part.nodes[f].node.next_lsn();
+        if part.isolated == 0 && follower_lsn != primary_lsn {
             return Err(format!(
-                "partition {p}: follower diverges from acked-log replay at lsn {follower_lsn}"
+                "partition {p}: follower at lsn {follower_lsn}, primary at {primary_lsn}"
             ));
         }
-        self.c.twin_checks += 1;
-        Ok(())
+        self.twin_check(p, f, "follower")
     }
 
     /// The promoted node must hold exactly the acked log: nothing lost,
@@ -781,44 +749,36 @@ impl ClusterRunner {
     /// snapshot, byte-identical to a clean replay.
     fn check_promoted_twin(&mut self, p: usize) -> Result<(), String> {
         let part = &self.parts[p];
-        let promoted = &part.nodes[part.serving];
-        let next_lsn = promoted.durability.next_lsn();
+        let next_lsn = part.nodes[part.serving].node.next_lsn();
         if next_lsn != part.acked_log.len() as u64 {
             return Err(format!(
                 "partition {p}: acked {} records but promoted node is at lsn {next_lsn}",
                 part.acked_log.len()
             ));
         }
-        if !part.snapshot_seeded {
-            let twin_bytes = self.replay_twin(p, next_lsn)?;
-            let part = &self.parts[p];
-            if part.nodes[part.serving].state_bytes() != twin_bytes {
-                return Err(format!(
-                    "partition {p}: promoted state diverges from acked-log replay at lsn {next_lsn}"
-                ));
-            }
-            self.c.twin_checks += 1;
-        }
+        self.twin_check(p, part.serving, "promoted")?;
         self.line(format!("twin partition={p} lsn={next_lsn} ok"));
         Ok(())
     }
 
-    /// Replay the first `upto` acked records into a fresh pair and
-    /// capture the result — the oracle for log-derived state.
-    fn replay_twin(&self, p: usize, upto: u64) -> Result<Vec<u8>, String> {
+    /// Unless the pair was seeded by a live snapshot, node `n` must be
+    /// byte-identical to a clean replay of the acked log up to its LSN —
+    /// the oracle for log-derived state.
+    fn twin_check(&mut self, p: usize, n: usize, role: &str) -> Result<(), String> {
         let part = &self.parts[p];
-        let mut twin_store = AdStore::new();
-        let mut twin_driver = ShardedDriver::new(
-            part.nodes[part.serving].driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-        );
-        for record in part.acked_log.iter().take(upto as usize) {
-            apply_record(&mut twin_store, &mut twin_driver, record.clone())?;
+        if part.snapshot_seeded {
+            return Ok(());
         }
-        Ok(EngineSetSnapshot::capture(upto, &twin_store, &twin_driver)
-            .encode()
-            .to_vec())
+        let node = &part.nodes[n].node;
+        let upto = node.next_lsn();
+        let acked = part.acked_log.get(..upto as usize);
+        if node.image() != self.spec.replay(acked.unwrap_or(&part.acked_log))? {
+            return Err(format!(
+                "partition {p}: {role} state diverges from acked-log replay at lsn {upto}"
+            ));
+        }
+        self.c.twin_checks += 1;
+        Ok(())
     }
 
     fn serve_wave(&mut self, num_users: u32) -> Result<(), String> {
@@ -829,10 +789,7 @@ impl ClusterRunner {
             let user = UserId(self.rng.gen_range(0..num_users));
             let p = user.index() % num_partitions;
             let part = &mut self.parts[p];
-            let serving = part.serving;
-            let node = &mut part.nodes[serving];
-            let recs = node.driver.recommend(
-                &node.store,
+            let recs = part.nodes[part.serving].node.recommend(
                 user,
                 self.now,
                 adcast_stream::event::LocationId(0),
@@ -875,8 +832,10 @@ impl ClusterRunner {
 
     fn render_summary(&self) -> String {
         let c = &self.c;
-        let mut s = String::new();
-        for (key, value) in [
+        // The shared clock only sequences fsyncs; assert it advanced so
+        // a future refactor can't silently bypass the simulated disk.
+        debug_assert!(self.clock.now_ns() > 0 || c.acked_records == 0);
+        render(&[
             ("partitions", c.partitions),
             ("batches", c.batches),
             ("acked_deltas", c.acked_deltas),
@@ -892,15 +851,8 @@ impl ClusterRunner {
             ("lsn_gap_refusals", c.lsn_gap_refusals),
             ("catch_up_snapshots", c.catch_up_snapshots),
             ("twin_checks", c.twin_checks),
-        ] {
-            s.push_str(key);
-            s.push('=');
-            s.push_str(&value.to_string());
-            s.push('\n');
-        }
-        // The shared clock only sequences fsyncs; assert it advanced so
-        // a future refactor can't silently bypass the simulated disk.
-        debug_assert!(self.clock.now_ns() > 0 || c.acked_records == 0);
-        s
+            ("degraded_entries", c.degraded_entries),
+            ("degraded_exits", c.degraded_exits),
+        ])
     }
 }

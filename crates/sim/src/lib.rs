@@ -2,12 +2,12 @@
 //!
 //! FoundationDB-style simulation testing for the adcast stack: the
 //! production engine, durability, and admission logic run unmodified
-//! against **virtual time** and a **simulated disk**, driven by seeded
-//! scenario scripts with fault injection. Same seed ⇒ byte-identical
+//! against **virtual event time** and a **simulated disk**, driven by
+//! seeded scenario scripts with fault injection. Same seed ⇒ byte-identical
 //! transcript and summary; a crash fault additionally proves the
 //! recovered state is a bit-identical twin of a clean replay.
 //!
-//! The three pieces:
+//! The four pieces:
 //!
 //! * [`backend`] — [`MemBackend`], an in-memory
 //!   [`adcast_durability::StorageBackend`] with per-file durability
@@ -15,9 +15,13 @@
 //!   torn-write-on-crash,
 //! * [`scenario`] — [`SimConfig`]: workload shape, engine topology,
 //!   durability knobs, maintenance cadence, and the [`Fault`] script,
-//! * [`runner`] — [`run`]: executes the scenario single-threaded through
-//!   the same `log → commit → apply` path the live server uses,
-//!   producing a [`SimOutcome`] (transcript + summary + counters).
+//! * [`runner`] — [`run`]: executes the scenario single-threaded on the
+//!   partition [`adcast_net::Node`] the live server drives, so every
+//!   mutation climbs the shipping ack ladder, producing a [`SimOutcome`]
+//!   (transcript + summary + counters),
+//! * [`cluster`] — [`run_cluster`]: primary/follower pairs of nodes
+//!   joined by an in-memory replication sink, under kill, isolation, and
+//!   split-brain faults.
 //!
 //! What this buys over the loopback tests: no sockets, no real fsync, no
 //! wall-clock sleeps — a simulated day at simulated-million scale runs in

@@ -3,9 +3,9 @@
 //! [`run`] executes a [`SimConfig`] single-threaded over virtual time:
 //! the synthetic workload's ingest batches, recommendation waves with
 //! impression charges, WAL-logged lifecycle maintenance passes, and the
-//! fault script — all through the *same* `log → commit → apply` path and
-//! the same [`apply_record`] the live server uses, against the in-memory
-//! [`MemBackend`]. No real sockets, no real disk, no real sleeping.
+//! fault script — every mutation through [`Node::submit`], the ack ladder
+//! the live server runs, against the in-memory [`MemBackend`]. No real
+//! sockets, no real disk, no real sleeping.
 //!
 //! Determinism contract: the transcript and summary derive only from the
 //! workload (seeded), the harness's own RNG (seeded), and counters
@@ -22,16 +22,19 @@
 use std::sync::Arc;
 
 use adcast_ads::{AdStore, CampaignState};
-use adcast_core::ShardedDriver;
-use adcast_durability::recovery::recover_on;
+use adcast_core::{EngineConfig, ShardedDriver};
+use adcast_durability::recovery::{recover_on, RecoveryReport};
 use adcast_durability::snapshot::EngineSetSnapshot;
 use adcast_durability::{
     apply_record, ApplyEffect, Durability, DurabilityOptions, StorageBackend, WalRecord,
 };
+use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_net::synth::{self, SynthWorkload};
+use adcast_net::{ClusterState, Node, ReplicaSetup, TraceContext};
 use adcast_stream::clock::{SimClock, Timestamp};
 use adcast_stream::event::LocationId;
+use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,10 +110,9 @@ pub struct SimOutcome {
 
 struct Runner {
     config: SimConfig,
+    spec: NodeSpec,
     backend: Arc<MemBackend>,
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Option<Durability>,
+    node: Node,
     /// Every *committed* record in LSN order — the twin-check oracle.
     record_log: Vec<WalRecord>,
     rng: SmallRng,
@@ -133,33 +135,24 @@ struct Runner {
 /// the engine/durability stack, not in the scenario).
 pub fn run(config: SimConfig) -> Result<SimOutcome, String> {
     let workload = synth::build(&config.synth);
-    let clock = Arc::new(SimClock::new());
-    let backend = MemBackend::new(Arc::clone(&clock), config.fsync_latency_ns);
-    let recovered = recover_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        workload.num_users,
-        config.num_shards,
-        config.engine.clone(),
-        config.wal,
-    )
-    .map_err(|e| e.to_string())?;
-    let durability = Durability::new_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        recovered.wal,
-        DurabilityOptions {
+    let backend = MemBackend::new(Arc::new(SimClock::new()), config.fsync_latency_ns);
+    let spec = NodeSpec {
+        num_users: workload.num_users,
+        num_shards: config.num_shards,
+        engine: config.engine.clone(),
+        options: DurabilityOptions {
             wal: config.wal,
             snapshot_every: config.snapshot_every,
             keep_snapshots: config.keep_snapshots,
         },
-        recovered.report,
-    );
+    };
+    let (node, _) = spec.recover(&backend, ClusterState::standalone())?;
     let seed = config.synth.seed;
     let runner = Runner {
         config,
+        spec,
         backend,
-        store: recovered.store,
-        driver: recovered.driver,
-        durability: Some(durability),
+        node,
         record_log: Vec::new(),
         // A distinct stream from the workload generator's, so harness
         // choices (wave users, clicks) never alias workload structure.
@@ -174,6 +167,50 @@ pub fn run(config: SimConfig) -> Result<SimOutcome, String> {
         c: SimCounters::default(),
     };
     runner.execute(workload)
+}
+
+/// What every node of a run is built from.
+pub(crate) struct NodeSpec {
+    pub(crate) num_users: u32,
+    pub(crate) num_shards: usize,
+    pub(crate) engine: EngineConfig,
+    pub(crate) options: DurabilityOptions,
+}
+
+impl NodeSpec {
+    /// A node recovered from `backend` (a cold start when it is empty)
+    /// and logging back to it, plus what recovery found.
+    pub(crate) fn recover(
+        &self,
+        backend: &Arc<MemBackend>,
+        cluster: ClusterState,
+    ) -> Result<(Node, RecoveryReport), String> {
+        let disk = Arc::clone(backend) as Arc<dyn StorageBackend>;
+        let (users, shards, wal) = (self.num_users, self.num_shards, self.options.wal);
+        let recovered = recover_on(Arc::clone(&disk), users, shards, self.engine.clone(), wal)
+            .map_err(|e| e.to_string())?;
+        let report = recovered.report;
+        let durability = Durability::new_on(Arc::clone(&disk), recovered.wal, self.options, report);
+        let replica = ReplicaSetup {
+            backend: disk,
+            options: self.options,
+            engine: self.engine.clone(),
+        };
+        let (store, driver) = (recovered.store, recovered.driver);
+        let node = Node::new(store, driver, Some(durability), cluster, Some(replica));
+        Ok((node, report))
+    }
+
+    /// The image of a fresh store + driver that applied `records`: the
+    /// oracle a recovered or replicated node must match byte for byte.
+    pub(crate) fn replay(&self, records: &[WalRecord]) -> Result<Bytes, String> {
+        let mut store = AdStore::new();
+        let mut driver = ShardedDriver::new(self.num_users, self.num_shards, self.engine.clone());
+        for record in records {
+            apply_record(&mut store, &mut driver, record.clone())?;
+        }
+        Ok(EngineSetSnapshot::capture(records.len() as u64, &store, &driver).encode())
+    }
 }
 
 impl Runner {
@@ -209,14 +246,7 @@ impl Runner {
                 }
             }
 
-            // Virtual event time advances to the batch's newest message.
-            for (_, delta) in &batch {
-                if let Some(m) = &delta.entered {
-                    if m.ts > self.now {
-                        self.now = m.ts;
-                    }
-                }
-            }
+            self.now = event_time(self.now, &batch);
 
             if crash_now {
                 self.crash_and_recover(WalRecord::IngestBatch(batch))?;
@@ -225,16 +255,13 @@ impl Runner {
 
             self.admission_step();
             let deltas = batch.len() as u64;
-            self.log_apply(WalRecord::IngestBatch(batch))?;
+            self.submit(WalRecord::IngestBatch(batch))?;
             self.c.batches += 1;
             self.c.deltas += deltas;
             self.line(format!(
                 "ingest batch={i} deltas={deltas} backlog={} shed_total={}",
                 self.backlog, self.c.sheds
             ));
-            if let Some(d) = self.durability.as_mut() {
-                d.maybe_snapshot(&self.store, &self.driver);
-            }
 
             if self.config.recommend_every > 0 && (i + 1) % self.config.recommend_every == 0 {
                 self.serve_wave(workload.num_users)?;
@@ -244,16 +271,16 @@ impl Runner {
 
         // Settle: a final durable checkpoint, then join the persister so
         // disk numbers are stable before we read them.
-        let durability = self.durability.as_mut().expect("durability live at end");
-        durability
-            .checkpoint(&self.store, &self.driver)
-            .map_err(|e| e.to_string())?;
-        let counters = durability.counters();
+        self.node.checkpoint().map_err(|e| e.to_string())?;
+        let counters = self
+            .node
+            .take_durability()
+            .expect("durability live at end")
+            .counters();
         self.c.wal_records = counters.wal_records;
-        drop(self.durability.take());
         self.c.snapshots_written = counters.snapshots_written;
         self.c.fsyncs = self.backend.fsyncs();
-        self.c.store_active = self.store.num_active() as u64;
+        self.c.store_active = self.node.store().num_active() as u64;
         self.c.disk_bytes = self.backend.total_bytes();
         self.c.disk_files = self.backend.file_count() as u64;
         self.line(format!(
@@ -278,13 +305,13 @@ impl Runner {
         let total = campaigns.len();
         for (i, spec) in campaigns.into_iter().enumerate() {
             let sub = spec.try_into_submission()?;
-            let effect = self.log_apply(WalRecord::Submit(sub))?;
+            let effect = self.submit(WalRecord::Submit(sub))?;
             let ApplyEffect::Submitted { ad } = effect else {
                 return Err("submit produced a non-submit effect".to_string());
             };
             self.c.campaigns += 1;
             if self.config.paced_every > 0 && i % self.config.paced_every == 0 {
-                self.log_apply(WalRecord::SetPacing {
+                self.submit(WalRecord::SetPacing {
                     ad,
                     start: Timestamp::EPOCH,
                     end: Timestamp::from_secs(self.config.flight_secs),
@@ -323,9 +350,9 @@ impl Runner {
         for _ in 0..self.config.wave_users {
             let user = UserId(self.rng.gen_range(0..num_users));
             let home = self.homes[user.index()];
-            let recs =
-                self.driver
-                    .recommend(&self.store, user, self.now, home, self.config.engine.k);
+            let recs = self
+                .node
+                .recommend(user, self.now, home, self.config.engine.k);
             served += recs.len() as u64;
             if let Some(top) = recs.first() {
                 let clicked = self.rng.gen_range(0..10u32) == 0;
@@ -335,7 +362,7 @@ impl Runner {
         self.c.recommends += self.config.wave_users as u64;
         self.c.served += served;
         for (ad, clicked) in charges {
-            let effect = self.log_apply(WalRecord::Impression {
+            let effect = self.submit(WalRecord::Impression {
                 ad,
                 cost: self.config.impression_cost,
                 clicked,
@@ -363,7 +390,7 @@ impl Runner {
             return Ok(());
         }
         self.last_maint = self.now;
-        let effect = self.log_apply(WalRecord::Maintenance {
+        let effect = self.submit(WalRecord::Maintenance {
             now: self.now,
             idle_for: self.config.idle_for,
         })?;
@@ -385,81 +412,53 @@ impl Runner {
         Ok(())
     }
 
-    /// The production ack path: log → commit → apply. Only committed
-    /// records enter the twin-check oracle.
-    fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, String> {
-        let durability = self.durability.as_mut().expect("durability live");
-        durability.log(&record).map_err(|e| e.to_string())?;
-        durability.commit().map_err(|e| e.to_string())?;
-        self.record_log.push(record.clone());
-        apply_record(&mut self.store, &mut self.driver, record)
+    /// The production ack ladder. A record enters the twin-check oracle
+    /// only once the node acked it, i.e. after its commit.
+    fn submit(&mut self, record: WalRecord) -> Result<ApplyEffect, String> {
+        let acked = record.clone();
+        let effect = self
+            .node
+            .submit(record, TraceContext::NONE, None)
+            .map_err(|e| e.to_string())?;
+        self.record_log.push(acked);
+        Ok(effect)
     }
 
     /// Power loss with `pending` logged but never committed, then
     /// recovery in place and the bit-identical twin check.
     fn crash_and_recover(&mut self, pending: WalRecord) -> Result<(), String> {
-        let mut durability = self.durability.take().expect("durability live");
+        let mut durability = self.node.take_durability().expect("durability live");
         durability.log(&pending).map_err(|e| e.to_string())?;
         // Dropping flushes the writer's buffer (unsynced bytes) and joins
         // the snapshot persister — anything it finished is on "disk".
         drop(durability);
         let crash = self.backend.crash();
-        let recovered = recover_on(
-            Arc::clone(&self.backend) as Arc<dyn StorageBackend>,
-            self.driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-            self.config.wal,
-        )
-        .map_err(|e| e.to_string())?;
-        let next_lsn = recovered.wal.next_lsn();
+        let (node, report) = self
+            .spec
+            .recover(&self.backend, ClusterState::standalone())?;
+        self.node = node;
+        let next_lsn = self.node.next_lsn();
         if self.record_log.len() as u64 > next_lsn {
             self.c.lost_acked += self.record_log.len() as u64 - next_lsn;
             self.record_log.truncate(next_lsn as usize);
         }
-        self.store = recovered.store;
-        self.driver = recovered.driver;
         self.c.crashes += 1;
         self.c.lost_records += 1; // the pending, never-acked batch
-        self.c.replayed_records += recovered.report.replayed_records;
-        self.c.torn_bytes += recovered.report.truncated_bytes + crash.bytes_lost;
+        self.c.replayed_records += report.replayed_records;
+        self.c.torn_bytes += report.truncated_bytes + crash.bytes_lost;
 
         // Twin check: a fresh pair replaying the committed log must be
         // byte-identical to the recovered state.
-        let mut twin_store = AdStore::new();
-        let mut twin_driver = ShardedDriver::new(
-            self.driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-        );
-        for record in &self.record_log {
-            apply_record(&mut twin_store, &mut twin_driver, record.clone())?;
-        }
-        let recovered_bytes =
-            EngineSetSnapshot::capture(next_lsn, &self.store, &self.driver).encode();
-        let twin_bytes = EngineSetSnapshot::capture(next_lsn, &twin_store, &twin_driver).encode();
-        if recovered_bytes != twin_bytes {
+        if self.node.image() != self.spec.replay(&self.record_log)? {
             return Err(format!(
                 "twin check failed at lsn {next_lsn}: recovered state diverges from replay"
             ));
         }
         self.c.twin_checks += 1;
-
-        self.durability = Some(Durability::new_on(
-            Arc::clone(&self.backend) as Arc<dyn StorageBackend>,
-            recovered.wal,
-            DurabilityOptions {
-                wal: self.config.wal,
-                snapshot_every: self.config.snapshot_every,
-                keep_snapshots: self.config.keep_snapshots,
-            },
-            recovered.report,
-        ));
         self.line(format!(
             "crash recovered_lsn={next_lsn} replayed={} snapshot_lsn={} twin=ok",
-            recovered.report.replayed_records,
-            recovered
-                .report
+            report.replayed_records,
+            report
                 .snapshot_lsn
                 .map_or_else(|| "none".to_string(), |l| l.to_string()),
         ));
@@ -472,10 +471,9 @@ impl Runner {
 
     fn render_summary(&self) -> String {
         let c = &self.c;
-        let stats = self.driver.stats();
-        let mut s = String::new();
-        for (key, value) in [
-            ("users", u64::from(self.driver.num_users())),
+        let stats = self.node.driver().stats();
+        render(&[
+            ("users", u64::from(self.node.driver().num_users())),
             ("shards", self.config.num_shards as u64),
             ("campaigns", c.campaigns),
             ("batches", c.batches),
@@ -507,12 +505,20 @@ impl Runner {
             ("engine_promotions", stats.promotions),
             ("engine_refreshes", stats.refreshes),
             ("engine_recommends", stats.recommends),
-        ] {
-            s.push_str(key);
-            s.push('=');
-            s.push_str(&value.to_string());
-            s.push('\n');
-        }
-        s
+        ])
     }
+}
+
+/// A summary: one `key=value` line per pair, in order.
+pub(crate) fn render(pairs: &[(&str, u64)]) -> String {
+    pairs
+        .iter()
+        .map(|(key, value)| format!("{key}={value}\n"))
+        .collect()
+}
+
+/// Virtual event time after `batch`: its newest message, never earlier.
+pub(crate) fn event_time(now: Timestamp, batch: &[(UserId, FeedDelta)]) -> Timestamp {
+    let stamps = batch.iter().filter_map(|(_, delta)| delta.entered.as_ref());
+    stamps.map(|m| m.ts).fold(now, Timestamp::max)
 }

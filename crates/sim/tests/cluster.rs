@@ -6,7 +6,8 @@
 //!    log,
 //! 2. an isolated follower degrades the primary (acks stay local-
 //!    durable), then reconnects into a typed `LsnGap` refusal and a
-//!    snapshot-transfer catch-up ending byte-identical,
+//!    snapshot-transfer catch-up ending byte-identical, which clears the
+//!    primary's degraded mode,
 //! 3. a split-brain promotion fences the deposed primary — its
 //!    unreplicated write is refused and never acked — and the node
 //!    rejoins as a follower by snapshot transfer,
@@ -45,6 +46,10 @@ fn isolated_follower_catches_up_by_snapshot_transfer() {
     });
     let outcome = run_cluster(config).unwrap();
     assert!(outcome.counters.dropped_shipments >= 2);
+    // The primary's own ladder degraded it while the link was down and
+    // cleared it once the catch-up landed.
+    assert_eq!(outcome.counters.degraded_entries, 1);
+    assert_eq!(outcome.counters.degraded_exits, 1);
     assert_eq!(outcome.counters.lsn_gap_refusals, 1);
     assert_eq!(outcome.counters.catch_up_snapshots, 1);
     // Catch-up and end-of-run agreement both passed byte-identity.

@@ -152,46 +152,22 @@ impl VirtualClock {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-time abstraction (nanoseconds)
+// Measurement time (nanoseconds)
 // ---------------------------------------------------------------------------
 //
-// Simulated *event* time above is what the engines reason about; the types
-// below abstract the *measurement* clock — the thing `Instant::now()` used
-// to provide for latency spans, fsync timing, and admission deadlines.
-// Production installs nothing and gets a monotonic wall clock; the
-// simulation harness installs a [`SimClock`] so those same code paths run
-// on virtual nanoseconds and every run is replayable bit-for-bit. The
-// `no-wallclock` lint bans raw `Instant::now()` in `core`/`durability`/
-// `net` so this seam cannot silently regress.
+// Simulated *event* time above is what the engines reason about; the items
+// below are the *measurement* clock for latency spans, fsync timing, and
+// admission deadlines. [`now_ns`] is monotonic wall time everywhere, the
+// simulator included. [`SimClock`] is the simulated disk's own counter:
+// `MemBackend` charges virtual fsync cost to it, and nothing else reads it.
+// The `no-wallclock` lint bans raw `Instant::now()` in `core`/`durability`/
+// `net` so every measurement goes through [`now_ns`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-/// A monotonic nanosecond clock. Implementations must never move
-/// backwards.
-pub trait Clock: Send + Sync {
-    /// Nanoseconds since this clock's origin.
-    fn now_ns(&self) -> u64;
-}
-
-/// The production clock: monotonic wall time, origin = first use.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WallClock;
-
-fn wall_ns() -> u64 {
-    static ORIGIN: OnceLock<std::time::Instant> = OnceLock::new();
-    let origin = *ORIGIN.get_or_init(std::time::Instant::now);
-    origin.elapsed().as_nanos() as u64
-}
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        wall_ns()
-    }
-}
-
-/// A manually advanced clock for deterministic simulation. Shared via
-/// `Arc`; the harness advances it, instrumented code reads it.
+/// A manually advanced nanosecond counter for deterministic simulation.
+/// Shared via `Arc`; the simulated disk advances it on every fsync.
 #[derive(Debug, Default)]
 pub struct SimClock {
     ns: AtomicU64,
@@ -219,30 +195,13 @@ impl SimClock {
     }
 }
 
-impl Clock for SimClock {
-    fn now_ns(&self) -> u64 {
-        SimClock::now_ns(self)
-    }
-}
-
-static GLOBAL_CLOCK: OnceLock<Arc<dyn Clock>> = OnceLock::new();
-
-/// Install the process-wide clock read by [`now_ns`]. First install wins;
-/// returns whether this call installed it. Production never calls this and
-/// gets [`WallClock`] behavior.
-pub fn install_clock(clock: Arc<dyn Clock>) -> bool {
-    GLOBAL_CLOCK.set(clock).is_ok()
-}
-
-/// Monotonic nanoseconds from the installed clock ([`WallClock`] when none
-/// was installed). This is the sanctioned replacement for `Instant::now()`
-/// in `core`/`durability`/`net`: span cost is
-/// `now_ns().saturating_sub(t0)`.
+/// Monotonic wall nanoseconds since the first call in this process. This
+/// is the sanctioned replacement for `Instant::now()` in
+/// `core`/`durability`/`net`: span cost is `now_ns().saturating_sub(t0)`.
 pub fn now_ns() -> u64 {
-    match GLOBAL_CLOCK.get() {
-        Some(c) => c.now_ns(),
-        None => wall_ns(),
-    }
+    static ORIGIN: OnceLock<std::time::Instant> = OnceLock::new();
+    let origin = *ORIGIN.get_or_init(std::time::Instant::now);
+    origin.elapsed().as_nanos() as u64
 }
 
 #[cfg(test)]
@@ -296,17 +255,15 @@ mod tests {
 
     #[test]
     fn wall_clock_is_monotone() {
-        let a = WallClock.now_ns();
-        let b = WallClock.now_ns();
+        let a = now_ns();
+        let b = now_ns();
         assert!(b >= a);
-        // The free function with no installed clock is wall time too.
-        assert!(now_ns() >= b);
     }
 
     #[test]
     fn sim_clock_advances_and_never_retreats() {
         let c = SimClock::new();
-        assert_eq!(Clock::now_ns(&c), 0);
+        assert_eq!(c.now_ns(), 0);
         assert_eq!(c.advance_ns(500), 500);
         c.set_ns(1_000);
         assert_eq!(c.now_ns(), 1_000);

@@ -104,11 +104,6 @@ impl GeoGrid {
         }
         out
     }
-
-    /// A uniformly random cell.
-    pub fn random_cell<R: Rng + ?Sized>(&self, rng: &mut R) -> LocationId {
-        LocationId(rng.gen_range(0..self.num_cells() as u16))
-    }
 }
 
 /// Users' homes clustered around city centers.

@@ -184,11 +184,6 @@ impl TraceWriter {
         self.count
     }
 
-    /// Bytes written so far (header included).
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Finish, returning the immutable trace bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()

@@ -105,11 +105,6 @@ impl TextPipeline {
         TextPipeline::new(PipelineConfig::standard())
     }
 
-    /// Replace the stop-word set.
-    pub fn set_stopwords(&mut self, stopwords: StopWords) {
-        self.stopwords = stopwords;
-    }
-
     /// The term dictionary (vocabulary + document frequencies).
     pub fn dictionary(&self) -> &Dictionary {
         &self.dictionary

@@ -256,3 +256,29 @@ fn loadgen_round_trip_reports_consistent_numbers() {
     client.shutdown().unwrap();
     server.join();
 }
+
+/// A fresh connection is answered at once: the accept loop blocks in
+/// `accept()` instead of sleeping between polls, so connect latency does
+/// not depend on the readers' poll interval.
+#[test]
+fn fresh_connections_do_not_wait_for_the_poll_interval() {
+    let config = ServerConfig {
+        poll_interval: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let server = start_server(8, config);
+    let addr = server.addr().to_string();
+    let started = std::time::Instant::now();
+    for _ in 0..5 {
+        let mut client = Client::connect(addr.as_str(), &ClientConfig::default()).unwrap();
+        let reply = client.call(&Request::Stats).expect("stats round trip");
+        assert!(matches!(reply, Response::Stats(_)), "{reply:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "5 fresh connect + Stats round trips took {elapsed:?}"
+    );
+    server.shutdown();
+    server.join();
+}
